@@ -107,8 +107,7 @@ pub use punctuation::{verify_punctuated_stream, HighWaterMarks, OutputItem, Punc
 pub use rebalance::{EdgeTransfer, FlowConstraint, MigrationConstraint, RedistributionPlan};
 pub use result::{ResultTuple, TimedResult};
 pub use shard::{
-    merge_punctuated_streams, mix64, MeshAutoscalePolicy, MeshDecision, MeshPlan, MeshStep, Route,
-    RouteMode, ShardMap, ShardRouter,
+    merge_punctuated_streams, mix64, MeshPlan, MeshStep, Route, RouteMode, ShardMap, ShardRouter,
 };
 pub use sorter::SortingOperator;
 pub use stats::{LatencyPoint, LatencySeries, LatencySummary, NodeCounters};
@@ -143,8 +142,7 @@ pub mod prelude {
     };
     pub use crate::result::{ResultTuple, TimedResult};
     pub use crate::shard::{
-        merge_punctuated_streams, MeshAutoscalePolicy, MeshDecision, MeshPlan, MeshStep, Route,
-        RouteMode, ShardMap, ShardRouter,
+        merge_punctuated_streams, MeshPlan, MeshStep, Route, RouteMode, ShardMap, ShardRouter,
     };
     pub use crate::sorter::SortingOperator;
     pub use crate::stats::{LatencySeries, LatencySummary, NodeCounters};

@@ -26,9 +26,8 @@
 //! * [`merge_punctuated_streams`] — the frontier merge that turns `N`
 //!   individually valid punctuated streams into one valid, monotone
 //!   stream.
-//! * [`MeshPlan`] / [`MeshStep`] and [`MeshAutoscalePolicy`] — the
-//!   deterministic steering plan both substrates honour, and the pure
-//!   split/merge decision function.
+//! * [`MeshPlan`] / [`MeshStep`] — the deterministic steering plan both
+//!   substrates honour.
 
 use crate::driver::StreamEvent;
 use crate::message::WindowSegment;
@@ -469,56 +468,6 @@ impl MeshPlan {
     }
 }
 
-/// What a [`MeshAutoscalePolicy`] wants done with the shard count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MeshDecision {
-    /// Double the shard count.
-    Split,
-    /// Halve the shard count.
-    Merge,
-    /// Leave the mesh as it is.
-    Hold,
-}
-
-/// Pure split/merge decision function for the mesh's second scaling axis.
-///
-/// The per-chain width axis keeps the existing closed-loop
-/// [`crate::metrics::AutoscalePolicy`]; the shard-count axis adds this
-/// stateless threshold rule on the observed per-shard arrival rate.  The
-/// threaded runtime's controller thread still steers a *single* chain —
-/// mesh reshaping is driven deterministically through [`MeshPlan`] on
-/// both substrates, with this policy available to compute those plans.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeshAutoscalePolicy {
-    /// Split when the per-shard arrival rate (tuples/sec) exceeds this.
-    pub split_above: f64,
-    /// Merge when the per-shard arrival rate falls below this.
-    pub merge_below: f64,
-    /// Never split beyond this many shards.
-    pub max_shards: usize,
-    /// Never merge below this many shards.
-    pub min_shards: usize,
-}
-
-impl MeshAutoscalePolicy {
-    /// The decision for a mesh of `shards` shards seeing `per_shard_rate`
-    /// arrivals per second per shard.
-    pub fn decide(&self, shards: usize, per_shard_rate: f64) -> MeshDecision {
-        debug_assert!(
-            self.merge_below * 2.0 <= self.split_above,
-            "thresholds must leave hysteresis: halving the load after a \
-             split must not immediately trigger a merge"
-        );
-        if per_shard_rate > self.split_above && shards * 2 <= self.max_shards {
-            MeshDecision::Split
-        } else if per_shard_rate < self.merge_below && shards > self.min_shards.max(1) {
-            MeshDecision::Merge
-        } else {
-            MeshDecision::Hold
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,22 +699,5 @@ mod tests {
         assert_eq!(results, vec![3, 1], "order within one stream is preserved");
         assert!(merged.iter().all(|i| i.as_punctuation().is_none()));
         assert!(merge_punctuated_streams::<u64>(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn mesh_policy_splits_and_merges_with_hysteresis() {
-        let policy = MeshAutoscalePolicy {
-            split_above: 1000.0,
-            merge_below: 300.0,
-            max_shards: 8,
-            min_shards: 1,
-        };
-        assert_eq!(policy.decide(2, 1500.0), MeshDecision::Split);
-        assert_eq!(policy.decide(8, 1500.0), MeshDecision::Hold);
-        assert_eq!(policy.decide(4, 200.0), MeshDecision::Merge);
-        assert_eq!(policy.decide(1, 200.0), MeshDecision::Hold);
-        assert_eq!(policy.decide(4, 600.0), MeshDecision::Hold);
-        // A split halves the per-shard rate; hysteresis keeps it split.
-        assert_eq!(policy.decide(4, 750.0), MeshDecision::Hold);
     }
 }

@@ -15,9 +15,12 @@
 //!   condition variables (consumer wake-up and, for bounded channels,
 //!   producer backpressure).  Senders are cloneable (multiple producers),
 //!   receivers are unique.  This remains the transport for the genuinely
-//!   multi-producer edges — the elastic result channel and the command
-//!   mailboxes — and the reference implementation the ring is tested
-//!   against.
+//!   multi-producer edges — the chain's result channel (every worker →
+//!   the collector) and the command mailboxes — and the reference
+//!   implementation the ring is tested against.  A condition variable is
+//!   notified only while a thread waits on it (counted under the lock): a
+//!   notify is a futex syscall even when nobody waits, and every result
+//!   of a run crosses this channel.
 //! * **Ring** ([`spsc_bounded`] / [`spsc_unbounded`]): the lock-free ring
 //!   buffer in [`crate::ring`], used for the chain's data edges, which
 //!   are single-producer/single-consumer by construction.  The consumer's
@@ -226,6 +229,11 @@ struct State<T> {
     /// Wait set to poke whenever a frame arrives or the channel
     /// disconnects, so a consumer blocked across several channels wakes.
     waiter: Option<WaitSet>,
+    /// Threads blocked on `not_empty` / `not_full`.  A condvar notify is a
+    /// futex syscall even when nobody waits, so sends and receives only
+    /// notify when these counts (read under the lock) say someone does.
+    recv_waiters: usize,
+    send_waiters: usize,
 }
 
 struct Shared<T> {
@@ -318,6 +326,8 @@ fn channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             senders: 1,
             receiver_alive: true,
             waiter: None,
+            recv_waiters: 0,
+            send_waiters: 0,
         }),
         not_empty: Condvar::new(),
         not_full: Condvar::new(),
@@ -347,7 +357,9 @@ impl<T> Sender<T> {
             }
             match state.capacity {
                 Some(cap) if state.queue.len() >= cap => {
+                    state.send_waiters += 1;
                     state = shared.not_full.wait(state).expect("channel poisoned");
+                    state.send_waiters -= 1;
                 }
                 _ => break,
             }
@@ -360,8 +372,11 @@ impl<T> Sender<T> {
         if let Some(waiter) = &state.waiter {
             waiter.notify();
         }
+        let wake = state.recv_waiters > 0;
         drop(state);
-        shared.not_empty.notify_one();
+        if wake {
+            shared.not_empty.notify_one();
+        }
         Ok(())
     }
 
@@ -386,8 +401,11 @@ impl<T> Sender<T> {
                 if let Some(waiter) = &state.waiter {
                     waiter.notify();
                 }
+                let wake = state.recv_waiters > 0;
                 drop(state);
-                shared.not_empty.notify_one();
+                if wake {
+                    shared.not_empty.notify_one();
+                }
                 Ok(())
             }
         }
@@ -482,8 +500,11 @@ impl<T> Receiver<T> {
         let mut state = shared.state.lock().expect("channel poisoned");
         match state.queue.pop_front() {
             Some(frame) => {
+                let wake = state.send_waiters > 0;
                 drop(state);
-                shared.not_full.notify_one();
+                if wake {
+                    shared.not_full.notify_one();
+                }
                 Ok(frame)
             }
             None if state.senders == 0 => Err(TryRecvError::Disconnected),
@@ -501,8 +522,11 @@ impl<T> Receiver<T> {
         let mut state = shared.state.lock().expect("channel poisoned");
         loop {
             if let Some(frame) = state.queue.pop_front() {
+                let wake = state.send_waiters > 0;
                 drop(state);
-                shared.not_full.notify_one();
+                if wake {
+                    shared.not_full.notify_one();
+                }
                 return Ok(frame);
             }
             if state.senders == 0 {
@@ -512,11 +536,13 @@ impl<T> Receiver<T> {
             if now >= deadline {
                 return Err(TryRecvError::Empty);
             }
+            state.recv_waiters += 1;
             let (guard, _timeout_result) = shared
                 .not_empty
                 .wait_timeout(state, deadline - now)
                 .expect("channel poisoned");
             state = guard;
+            state.recv_waiters -= 1;
         }
     }
 

@@ -1,19 +1,21 @@
-//! Elastic node-chain scaling: grow or shrink a live pipeline.
+//! The threaded runtime's chain driver: deploy, replay, grow or shrink a
+//! live pipeline.
 //!
-//! [`crate::run_pipeline`] freezes the node count at construction time, so
-//! the paper's "sweep the core count" story (Section 6) can only be told by
-//! re-deploying.  This module makes the chain *elastic*: an
-//! [`ElasticPipeline`] owns the worker threads and channel wiring and can
-//! insert or retire join nodes **mid-run** without dropping or duplicating
-//! a single result.  The control path is the [`ScalePipeline`] trait:
-//! `grow(n)` / `shrink(n)` / `scale_to(n)`; the *closed-loop* path — a
-//! controller that decides when to call them — is [`crate::autoscale`].
+//! An [`ElasticPipeline`] owns the worker threads and channel wiring and
+//! can insert or retire join nodes **mid-run** without dropping or
+//! duplicating a single result, so the paper's "sweep the core count"
+//! story (Section 6) needs no re-deployment.  The control path is the
+//! [`ScalePipeline`] trait: `grow(n)` / `shrink(n)` / `scale_to(n)`; the
+//! *closed-loop* path — a controller that decides when to call them — is
+//! [`crate::autoscale`].  It is also the runtime's only driver: a fixed
+//! chain ([`crate::run_pipeline`]) is this pipeline replaying its schedule
+//! with [`ScalePlan::none`].
 //!
-//! The data plane (worker loop, entry batching, collector) is the shared
-//! machinery of the crate-private `exec` module — exactly the code the fixed pipeline
-//! runs.  This module only adds the control plane of a *resizable*
-//! deployment: owned (rather than scoped) workers behind handles, command
-//! mailboxes, and the reconfiguration protocol below.
+//! The data plane (worker loop, entry batching, arena circulation,
+//! collector) lives in the crate-private `exec` module.  This module adds
+//! the deployment and its control plane: owned workers behind handles,
+//! command mailboxes, the paced driver, and the reconfiguration protocol
+//! below.
 //!
 //! ## The reconfiguration protocol
 //!
@@ -42,9 +44,10 @@
 //!    channel endpoints through per-worker command mailboxes (woken
 //!    through the same `WaitSet`s that deliver frames); new workers are
 //!    spawned, retired ones joined, and the driver's right entry channel
-//!    moves to the new rightmost node.  Once every worker confirms, the
-//!    driver resumes the schedule with an injector rebuilt for the new
-//!    node count.
+//!    moves to the new rightmost node.  The frame-buffer arena is rebuilt
+//!    for the new chain ends: the driver's batchers and every worker are
+//!    re-pointed at it.  Once every worker confirms, the driver resumes
+//!    the schedule with an injector rebuilt for the new node count.
 //!
 //! Old tuples keep resting where the reconfiguration left them; the
 //! windows rebalance naturally as old tuples expire and new arrivals are
@@ -65,8 +68,9 @@
 use crate::autoscale::{AutoscaleOptions, Controller};
 use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
 use crate::exec::{
-    spawn_collector, CensusReport, CollectorConfig, CoreMap, EntryState, InFlight, ScaleConfirm,
-    StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared, WorkerWiring,
+    spawn_collector, ArenaLegs, CensusReport, ChainArena, CollectorConfig, CoreMap, EntryState,
+    InFlight, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
+    WorkerWiring,
 };
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions, Transport};
@@ -288,6 +292,12 @@ pub struct ElasticOutcome<R, S> {
     pub arrivals_per_stream: (usize, usize),
     /// Number of frames the driver injected into the pipeline ends.
     pub frames_injected: u64,
+    /// Number of frame buffers allocated after start-up — by workers
+    /// (alive and retired) whose arena pool ran dry and by the driver's
+    /// entry batchers when the flow-back rings had nothing to recycle.
+    /// Bounded (instead of growing with the frame count) when the arena
+    /// circulation works.
+    pub batch_allocs: u64,
     /// Idle wake-ups accumulated across all workers (alive and retired).
     pub idle_wakeups: u64,
     /// Every reconfiguration the pipeline went through, in order.
@@ -318,9 +328,8 @@ impl<R, S> ElasticOutcome<R, S> {
 
 /// A live, resizable handshake-join pipeline.
 ///
-/// Unlike [`crate::run_pipeline`] (fixed chain), the elastic pipeline owns
-/// its workers and wiring behind a handle, so the chain can be resized
-/// between schedule events via [`ScalePipeline`].  Use
+/// The pipeline owns its workers and wiring behind a handle, so the chain
+/// can be resized between schedule events via [`ScalePipeline`].  Use
 /// [`run_elastic_pipeline`] for the common replay-with-plan case,
 /// [`crate::autoscale::run_autoscaled_pipeline`] for the closed loop, or
 /// drive [`ElasticPipeline::run_schedule`] / [`ScalePipeline::scale_to`] /
@@ -335,9 +344,13 @@ where
     predicate: P,
     policy: H,
     factory: NodeFactory<R, S>,
-    /// The node type's migration semantics, probed from the factory once:
+    /// The node type's migration semantics, probed from the first node:
     /// the redistribution planner clamps flows the node type forbids.
     constraint: MigrationConstraint,
+    /// Whether every node of the chain supports state migration: only a
+    /// resize needs it, so a chain of fixed-only nodes runs as long as its
+    /// plan stays empty.
+    migratable: bool,
     options: PipelineOptions,
     workers: Vec<WorkerHandle<R, S>>,
     entry: EntryState<R, S>,
@@ -350,10 +363,10 @@ where
     result_tx: Option<Sender<TimedResult<R, S>>>,
     collector: Option<JoinHandle<crate::exec::CollectorOutcome<R, S>>>,
     injector: Injector<R, S, P, H>,
-    started: Instant,
     resize_log: Vec<ResizeEvent>,
     retired_counters: Vec<NodeCounters>,
     retired_idle_wakeups: u64,
+    retired_batch_allocs: u64,
     migration_stall: Option<Duration>,
     seen_r: usize,
     seen_s: usize,
@@ -376,7 +389,8 @@ where
 {
     /// Deploys an elastic pipeline of `initial_nodes` nodes built by
     /// `factory`.  Every node the factory produces must support state
-    /// migration ([`PipelineNode::supports_migration`]).
+    /// migration ([`PipelineNode::supports_migration`]) for the chain to
+    /// resize.
     pub fn new(
         initial_nodes: usize,
         factory: NodeFactory<R, S>,
@@ -384,10 +398,30 @@ where
         policy: H,
         options: PipelineOptions,
     ) -> Self {
-        assert!(initial_nodes > 0, "pipeline needs at least one node");
+        let nodes = (0..initial_nodes)
+            .map(|k| factory(k, initial_nodes))
+            .collect();
+        Self::with_nodes(nodes, factory, predicate, policy, options)
+    }
+
+    /// Deploys the already-built `nodes` (one per chain position, in
+    /// order); `factory` builds the nodes later grows add.  The stream
+    /// clock starts only once the nodes exist, so however long building
+    /// them took, it is not charged to the first results' latency.
+    pub(crate) fn with_nodes(
+        nodes: Vec<Box<dyn PipelineNode<R, S>>>,
+        factory: NodeFactory<R, S>,
+        predicate: P,
+        policy: H,
+        options: PipelineOptions,
+    ) -> Self {
+        assert!(!nodes.is_empty(), "pipeline needs at least one node");
         options
             .validate()
             .unwrap_or_else(|err| panic!("invalid PipelineOptions: {err}"));
+        let n = nodes.len();
+        let constraint = nodes[0].migration_constraint();
+        let migratable = nodes.iter().all(|node| node.supports_migration());
 
         let in_flight = Arc::new(InFlight::new());
         let clock = Arc::new(StreamClock::new(options.pacing));
@@ -397,12 +431,14 @@ where
         let metrics = Arc::new(MetricsBus::new());
         let (result_tx, result_rx) = unbounded();
 
-        // Channel chain, exactly as in the fixed runtime: bounded entry
-        // channels (driver backpressure), unbounded inner links (two
-        // neighbours may send to each other simultaneously).  The wait
-        // sets are created first — ring channels bind their consumer's
-        // wait set at construction.
-        let n = initial_nodes;
+        // Channel chain: bounded entry channels (driver backpressure: the
+        // driver can never run ahead of the chain by more than
+        // `channel_capacity` frames), unbounded inner links (two
+        // neighbours may send to each other simultaneously — R traffic
+        // going right, acknowledgements and S traffic going left — and
+        // bounded links could deadlock them).  The wait sets are created
+        // first: ring channels bind their consumer's wait set at
+        // construction.
         let waitsets: Vec<WaitSet> = (0..n).map(|_| WaitSet::new()).collect();
         let mut ltr_tx: Vec<Option<Sender<Frame<R, S>>>> = Vec::with_capacity(n);
         let mut ltr_rx: Vec<Option<Receiver<Frame<R, S>>>> = Vec::with_capacity(n);
@@ -428,17 +464,18 @@ where
         let right_tx = rtl_tx[n - 1].take().expect("entry channel");
 
         // Workers plus collector; the driver (caller's thread) stays
-        // unpinned on the elastic path.
+        // unpinned.
         let core_map = CoreMap::new(options.pin_cores, n + 1, options.pin_core_offset);
+        let arena = ChainArena::new(n);
 
-        let constraint = factory(0, 1).migration_constraint();
         let mut pipeline = ElasticPipeline {
             predicate: predicate.clone(),
             policy: policy.clone(),
             factory,
             constraint,
+            migratable,
             workers: Vec::with_capacity(n),
-            entry: EntryState::new(left_tx, right_tx),
+            entry: EntryState::new(left_tx, right_tx, arena.recycle_ltr, arena.recycle_rtl),
             in_flight,
             clock,
             stop,
@@ -448,10 +485,10 @@ where
             result_tx: Some(result_tx),
             collector: None,
             injector: Injector::new(predicate, policy, n),
-            started: Instant::now(),
             resize_log: Vec::new(),
             retired_counters: Vec::new(),
             retired_idle_wakeups: 0,
+            retired_batch_allocs: 0,
             migration_stall: None,
             seen_r: 0,
             seen_s: 0,
@@ -461,8 +498,9 @@ where
             options,
         };
 
+        let mut legs = arena.legs.into_iter();
         let mut waitsets_iter = waitsets.into_iter();
-        for k in 0..n {
+        for (k, node) in nodes.into_iter().enumerate() {
             let left_rx = ltr_rx[k].take().expect("left input");
             let right_rx = rtl_rx[k].take().expect("right input");
             let to_right = if k + 1 < n {
@@ -472,15 +510,25 @@ where
             };
             let to_left = if k > 0 { rtl_tx[k - 1].take() } else { None };
             let waitset = waitsets_iter.next().expect("one wait set per worker");
-            let handle = pipeline.spawn_worker(k, n, left_rx, right_rx, to_left, to_right, waitset);
+            let handle = pipeline.spawn_worker(
+                k,
+                n,
+                node,
+                left_rx,
+                right_rx,
+                to_left,
+                to_right,
+                waitset,
+                legs.next().expect("one arena leg set per worker"),
+            );
             pipeline.workers.push(handle);
         }
         let collector = spawn_collector(
-            vec![result_rx],
+            result_rx,
             Arc::clone(&pipeline.stop),
             pipeline.stop_signal.clone(),
             Arc::clone(&pipeline.hwm),
-            Some(Arc::clone(&pipeline.metrics)),
+            Arc::clone(&pipeline.metrics),
             CollectorConfig {
                 punctuate: pipeline.options.punctuate,
                 interval: pipeline.options.collect_interval,
@@ -542,27 +590,34 @@ where
         Some(core)
     }
 
-    /// Spawns one worker on `waitset`.  The wait set must be the one every
-    /// ring channel handed to this worker was constructed with — the
-    /// channels bind it at construction, and `Worker::spawn`'s
+    /// Builds the frame-buffer arena circulation for a chain of `nodes`
+    /// nodes, re-points the driver's batchers at its flow-back rings and
+    /// returns the workers' legs, indexed by node id.  Called inside
+    /// every resize fence (the chain ends move).
+    fn rebuild_arena(&mut self, nodes: usize) -> Vec<ArenaLegs<R, S>> {
+        let arena = ChainArena::new(nodes);
+        self.entry.left.set_recycle(arena.recycle_ltr);
+        self.entry.right.set_recycle(arena.recycle_rtl);
+        arena.legs
+    }
+
+    /// Spawns one worker running `node` on `waitset`.  The wait set must
+    /// be the one every ring channel handed to this worker was constructed
+    /// with — the channels bind it at construction, and `Worker::spawn`'s
     /// `set_waiter` calls assert the binding.
     #[allow(clippy::too_many_arguments)]
     fn spawn_worker(
         &mut self,
         id: usize,
         nodes: usize,
+        node: Box<dyn PipelineNode<R, S>>,
         left_rx: Receiver<Frame<R, S>>,
         right_rx: Receiver<Frame<R, S>>,
         to_left: Option<Sender<Frame<R, S>>>,
         to_right: Option<Sender<Frame<R, S>>>,
         waitset: WaitSet,
+        arena: ArenaLegs<R, S>,
     ) -> WorkerHandle<R, S> {
-        let node = (self.factory)(id, nodes);
-        assert!(
-            node.supports_migration(),
-            "elastic pipelines require nodes that support state migration \
-             (node {id} does not)"
-        );
         let shared = WorkerShared {
             hwm: Arc::clone(&self.hwm),
             clock: Arc::clone(&self.clock),
@@ -573,16 +628,27 @@ where
                 .as_ref()
                 .expect("workers spawn before finish")
                 .clone(),
-            busy_ns: Some(self.metrics.register_node(id)),
+            busy_ns: self.metrics.register_node(id),
         };
-        // Elastic workers recycle frame buffers through their local pools
-        // only: the chain ends move on every resize, so a driver flow-back
-        // edge would need re-wiring inside the fence for no measured gain.
-        let mut wiring = WorkerWiring::new(waitset);
-        wiring.pin_core = self.take_pin_slot();
+        let wiring = WorkerWiring {
+            waitset,
+            pin_core: self.take_pin_slot(),
+            arena,
+        };
         Worker::spawn(
-            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, true, wiring,
+            id, nodes, node, left_rx, right_rx, to_left, to_right, shared, wiring,
         )
+    }
+
+    /// Builds a node for a grow through the factory.
+    fn grown_node(&self, id: usize, nodes: usize) -> Box<dyn PipelineNode<R, S>> {
+        let node = (self.factory)(id, nodes);
+        assert!(
+            node.supports_migration(),
+            "elastic pipelines require nodes that support state migration \
+             (node {id} does not)"
+        );
+        node
     }
 
     // -- driver-side entry batching -------------------------------------
@@ -592,7 +658,7 @@ where
     }
 
     /// Injects one driver event, applying `batch_size` / `flush_interval`
-    /// exactly like the fixed runtime's driver (same [`EntryState`]).
+    /// through the [`EntryState`] batchers.
     fn inject(
         &mut self,
         event: &llhj_core::driver::DriverEvent<R, S>,
@@ -668,12 +734,15 @@ where
     /// Real-time pacing wait before injecting an event scheduled at `at`.
     /// Returns `true` if the wait was cancelled.
     ///
+    /// Deadlines count from the stream clock's start instant, the same
+    /// origin the workers stamp results against, so a result's latency
+    /// never includes the time before the clock started.
+    ///
     /// With a `flush_interval` configured the wait is sliced at half the
-    /// interval of wall time: the fixed runtime bounds a partial entry
-    /// frame's wait with a dedicated timer thread, but the elastic driver
-    /// owns its entry buffers, so it plays that role itself — a stream
-    /// that goes silent mid-run still cannot hold an assembled frame
-    /// beyond the interval.
+    /// interval of wall time and flushes aged partial entry frames on
+    /// every slice — the driver owns its entry buffers, so a stream that
+    /// goes silent mid-run still cannot hold an assembled frame beyond
+    /// the interval.
     ///
     /// With a `controller` attached the wait also *actuates* the
     /// auto-scaler: the slice additionally caps at the controller's
@@ -695,7 +764,7 @@ where
         let target = self
             .options
             .stream_to_wall(at.saturating_since(Timestamp::ZERO));
-        let deadline = self.started + target;
+        let deadline = self.clock.start() + target;
         let floor = Duration::from_micros(50);
         let flush_slice = self
             .options
@@ -831,7 +900,7 @@ where
         let retiring: Vec<WorkerHandle<R, S>> = self.workers.split_off(target);
         for (offset, handle) in retiring.iter().enumerate().rev() {
             let k = target + offset;
-            let _ = handle.commands().send(WorkerCommand::Retire {
+            let _ = handle.commands.send(WorkerCommand::Retire {
                 absorb_first: k + 1 < current,
                 stall,
             });
@@ -839,32 +908,33 @@ where
 
         // The surviving boundary node absorbs the final segment, then
         // becomes the new rightmost: its right input switches to a fresh
-        // driver entry channel and its right output disappears.
+        // driver entry channel and its right output disappears.  Every
+        // survivor is renumbered and re-pointed at the narrower chain's
+        // arena circulation.
+        let legs = self.rebuild_arena(target);
         let boundary = &self.workers[target - 1];
         let (new_right_tx, new_right_rx) = entry_link(&self.options, &boundary.waitset);
         new_right_rx.set_waiter(&boundary.waitset);
-        let _ = boundary.commands().send(WorkerCommand::Absorb {
+        let _ = boundary.commands.send(WorkerCommand::Absorb {
             from: llhj_core::message::Direction::Right,
             stall,
             done: done_tx.clone(),
         });
-        let _ = boundary.commands().send(WorkerCommand::Rewire {
-            id: target - 1,
-            nodes: target,
-            left_rx: None,
-            right_rx: Some(new_right_rx),
-            to_left: None,
-            to_right: Some(None),
-            done: done_tx.clone(),
-        });
-        for (k, handle) in self.workers.iter().enumerate().take(target - 1) {
-            let _ = handle.commands().send(WorkerCommand::Rewire {
+        let mut new_right_rx = Some(new_right_rx);
+        for (k, (handle, arena)) in self.workers.iter().zip(legs).enumerate() {
+            let is_boundary = k + 1 == target;
+            let _ = handle.commands.send(WorkerCommand::Rewire {
                 id: k,
                 nodes: target,
                 left_rx: None,
-                right_rx: None,
+                right_rx: if is_boundary {
+                    new_right_rx.take()
+                } else {
+                    None
+                },
                 to_left: None,
-                to_right: None,
+                to_right: is_boundary.then_some(None),
+                arena,
                 done: done_tx.clone(),
             });
         }
@@ -874,6 +944,7 @@ where
             let exit = handle.handle.join().expect("retiring worker panicked");
             self.retired_counters.push(exit.counters);
             self.retired_idle_wakeups += exit.idle_wakeups;
+            self.retired_batch_allocs += exit.batch_allocs;
         }
         // One Absorb plus `target` Rewires confirm the surviving chain.
         let migrated = self.confirm(&done_rx, target + 1, "shrink confirmations");
@@ -898,6 +969,9 @@ where
         };
         let right_delta = delta - left_delta;
         let (done_tx, done_rx) = unbounded();
+        // Arena legs of the wider chain, by final node id.
+        let mut legs: Vec<Option<ArenaLegs<R, S>>> =
+            self.rebuild_arena(target).into_iter().map(Some).collect();
 
         // Fresh links for the right extension: link i connects new node
         // `left_delta + current + i` to its left neighbour; the new
@@ -942,14 +1016,17 @@ where
                 } else {
                     (new_right_rx.take().expect("new entry"), None)
                 };
+                let node = self.grown_node(id, target);
                 let handle = self.spawn_worker(
                     id,
                     target,
+                    node,
                     left_rx,
                     right_rx,
                     to_left,
                     to_right,
                     right_ws[i].clone(),
+                    legs[id].take().expect("one arena leg set per node"),
                 );
                 self.workers.push(handle);
             }
@@ -994,14 +1071,17 @@ where
                     Some(lrtl[i - 1].0.clone())
                 };
                 let to_right = Some(lltr[i].0.clone());
+                let node = self.grown_node(i, target);
                 let handle = self.spawn_worker(
                     i,
                     target,
+                    node,
                     left_rx,
                     right_rx,
                     to_left,
                     to_right,
                     left_ws[i].clone(),
+                    legs[i].take().expect("one arena leg set per node"),
                 );
                 left_workers.push(handle);
             }
@@ -1047,13 +1127,16 @@ where
             } else {
                 (None, None)
             };
-            let _ = self.workers[k].commands().send(WorkerCommand::Rewire {
+            let _ = self.workers[k].commands.send(WorkerCommand::Rewire {
                 id: left_delta + k,
                 nodes: target,
                 left_rx,
                 right_rx,
                 to_left,
                 to_right,
+                arena: legs[left_delta + k]
+                    .take()
+                    .expect("one arena leg set per node"),
                 done: done_tx.clone(),
             });
         }
@@ -1077,7 +1160,7 @@ where
     fn census(&self) -> Vec<(usize, usize)> {
         let (done_tx, done_rx) = unbounded();
         for handle in &self.workers {
-            let _ = handle.commands().send(WorkerCommand::Census {
+            let _ = handle.commands.send(WorkerCommand::Census {
                 done: done_tx.clone(),
             });
         }
@@ -1102,7 +1185,7 @@ where
         let (done_tx, done_rx) = unbounded();
         let direction = transfer.direction();
         let _ = self.workers[transfer.from]
-            .commands()
+            .commands
             .send(WorkerCommand::Shed {
                 direction,
                 r: transfer.r,
@@ -1110,7 +1193,7 @@ where
                 done: done_tx.clone(),
             });
         let _ = self.workers[transfer.to]
-            .commands()
+            .commands
             .send(WorkerCommand::Absorb {
                 from: direction.opposite(),
                 stall: self.migration_stall,
@@ -1167,7 +1250,7 @@ where
         for handle in &self.workers {
             let (done_tx, done_rx) = unbounded();
             let _ = handle
-                .commands()
+                .commands
                 .send(WorkerCommand::ExportAll { done: done_tx });
             match done_rx.recv_timeout(PROTOCOL_STEP_TIMEOUT) {
                 Ok(segment) => segments.push(segment),
@@ -1187,7 +1270,7 @@ where
         segment: llhj_core::message::WindowSegment<R, S>,
     ) -> usize {
         let (done_tx, done_rx) = unbounded();
-        let _ = self.workers[k].commands().send(WorkerCommand::Install {
+        let _ = self.workers[k].commands.send(WorkerCommand::Install {
             segment,
             done: done_tx,
         });
@@ -1431,6 +1514,10 @@ where
         if target == current {
             return;
         }
+        assert!(
+            self.migratable,
+            "elastic pipelines require nodes that support state migration"
+        );
         let wall_start = Instant::now();
         self.fence();
         let migrated = if target < current {
@@ -1477,11 +1564,15 @@ where
 
         let mut counters = Vec::with_capacity(self.workers.len());
         let mut idle_wakeups = self.retired_idle_wakeups;
+        let mut batch_allocs = self.retired_batch_allocs
+            + self.entry.left.fresh_allocs
+            + self.entry.right.fresh_allocs;
         let nodes = self.workers.len();
         for worker in self.workers.drain(..) {
             let exit = worker.handle.join().expect("worker thread panicked");
             counters.push(exit.counters);
             idle_wakeups += exit.idle_wakeups;
+            batch_allocs += exit.batch_allocs;
         }
         drop(self.result_tx.take());
         let collected = self
@@ -1498,10 +1589,11 @@ where
             retired_counters: std::mem::take(&mut self.retired_counters),
             latency: collected.latency,
             latency_series: collected.series.finish(),
-            elapsed: self.started.elapsed(),
+            elapsed: self.clock.start().elapsed(),
             punctuation_count: collected.punctuation_count,
             arrivals_per_stream: (self.seen_r, self.seen_s),
             frames_injected: self.entry.frames_injected,
+            batch_allocs,
             idle_wakeups,
             resize_log: std::mem::take(&mut self.resize_log),
             nodes,
@@ -1699,53 +1791,36 @@ mod tests {
         assert_eq!(outcome.retired_counters.len(), 3);
     }
 
-    /// The elastic counterpart of the fixed runtime's flush-timer
-    /// guarantee: a stream that goes silent mid-run must not hold a
-    /// partial entry frame hostage until the next schedule event — the
-    /// sliced pacing wait flushes it within `flush_interval` of wall time.
+    /// The paced driver and the stream clock share one origin: however
+    /// long the factory takes to build the chain, that time is not
+    /// charged to the first results' latency.
     #[test]
-    fn silent_gap_cannot_hold_a_partial_entry_frame() {
-        let eq = eq_pred();
-        let mk = |v: u32| {
-            vec![
-                (Timestamp::from_millis(1), v),
-                (Timestamp::from_millis(700), v + 1_000),
-                (Timestamp::from_millis(710), v + 2_000),
-            ]
-        };
+    fn slow_node_construction_is_not_charged_to_latency() {
+        let slow: NodeFactory<u32, u32> = Arc::new(|id, nodes| {
+            llhj_sync::thread::sleep(Duration::from_millis(50));
+            Box::new(llhj_core::node_llhj::LlhjNode::new(id, nodes, eq_pred()))
+        });
         let sched = DriverSchedule::build(
-            mk(7),
-            mk(7),
-            WindowSpec::Time(TimeDelta::from_secs(2)),
-            WindowSpec::Time(TimeDelta::from_secs(2)),
+            vec![(Timestamp::from_millis(1), 7u32)],
+            vec![(Timestamp::from_millis(1), 7u32)],
+            WindowSpec::time_secs(1),
+            WindowSpec::time_secs(1),
         );
-        let opts = PipelineOptions {
-            // Far larger than the pre-gap tuple count: without the sliced
-            // wait the first frame would sit out the whole 700 ms gap.
-            batch_size: 64,
-            flush_interval: Some(TimeDelta::from_millis(10)),
-            pacing: Pacing::RealTime { speedup: 1.0 },
-            ..Default::default()
-        };
         let outcome = run_elastic_pipeline(
-            2,
-            llhj_factory(eq.clone()),
-            eq,
+            1,
+            slow,
+            eq_pred(),
             RoundRobin,
             &sched,
             &ScalePlan::none(),
-            &opts,
+            &paced_opts(1),
         );
-        let first = outcome
-            .results
-            .iter()
-            .find(|t| t.result.key() == (SeqNo(0), SeqNo(0)))
-            .expect("the pre-gap pair must be found");
-        let latency = first.latency();
+        assert_eq!(outcome.result_keys(), vec![(SeqNo(0), SeqNo(0))]);
+        let latency = outcome.results[0].latency();
         assert!(
-            latency < TimeDelta::from_millis(200),
-            "pre-gap result waited {latency} — the sliced pacing wait \
-             should have flushed it near the 10 ms interval"
+            latency < TimeDelta::from_millis(25),
+            "the pair waited {latency}: the 50 ms spent building the node \
+             was charged to it"
         );
     }
 

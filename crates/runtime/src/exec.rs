@@ -1,33 +1,32 @@
-//! Shared execution machinery of the threaded runtimes.
+//! Execution machinery of the threaded runtime.
 //!
-//! The fixed pipeline ([`crate::run_pipeline`]) and the elastic pipeline
-//! ([`crate::elastic::ElasticPipeline`]) are the *same* data plane — worker
-//! threads moving [`MessageBatch`] frames between neighbours, a driver
-//! assembling entry frames, a collector vacuuming result queues — and for
-//! two PRs they carried two copies of it (the fixed path on scoped threads
-//! and borrowed state, the elastic path on owned `'static` state), a
-//! divergence ROADMAP called out explicitly.  This module is the single
-//! implementation both deploy:
+//! The runtime has one deployment, the elastic chain of
+//! [`crate::elastic::ElasticPipeline`]; a fixed chain
+//! ([`crate::run_pipeline`]) is that chain run with an empty scale plan.
+//! This module holds the data plane the chain is built from:
 //!
 //! * [`Worker`] — the worker thread: event-driven two-input poll loop,
 //!   frame handling (batch dispatch, high-water-mark observation, output
-//!   forwarding, result emission, in-flight accounting), plus the elastic
-//!   command mailbox (rewire / absorb / retire).  A fixed pipeline simply
-//!   never sends a command — it *is* an elastic pipeline that never
-//!   resizes.
+//!   forwarding, result emission, in-flight accounting, busy-time
+//!   metering), plus the command mailbox (rewire / absorb / shed /
+//!   census / export / install / retire) the control plane drives while
+//!   the chain is fenced.
+//! * [`ChainArena`] — the frame-buffer circulation of one chain width:
+//!   flow-back rings from the chain ends to the driver's batchers and the
+//!   surplus legs between neighbours.  Rebuilt on every resize.
 //! * [`EntryBatcher`] / [`EntryState`] — the driver's entry-frame assembly
 //!   for one direction / both directions: `batch_size` arrivals per frame,
 //!   expiries riding along, `flush_interval` aging.
 //! * [`spawn_collector`] — the collector thread: reads the high-water
 //!   marks *before* vacuuming (Section 6.1.3 step 1), drains the result
-//!   queues, emits punctuations, and feeds the metrics bus's latency EWMA.
+//!   queue, emits punctuations, and feeds the metrics bus's latency EWMA.
 //! * The shared primitives: [`StreamClock`], [`InFlight`] (quiescence
 //!   accounting), [`send_frame`], [`WORKER_PARK`].
 //!
 //! Everything here is `pub(crate)`: the public API stays in
 //! [`crate::pipeline`] and [`crate::elastic`].
 
-use crate::channel::{unbounded, Receiver, Sender, WaitSet};
+use crate::channel::{spsc_bounded, unbounded, Receiver, Sender, WaitSet};
 use crate::metrics::MetricsBus;
 use crate::options::Pacing;
 use llhj_core::message::{
@@ -118,7 +117,8 @@ pub(crate) fn pinning_available(threads: usize) -> bool {
             .unwrap_or(false)
 }
 
-/// Assigns the pipeline's threads (workers, collector, driver) to cores.
+/// Assigns the pipeline's worker and collector threads to cores (the
+/// driver is the caller's thread and stays unpinned).
 ///
 /// Built only when `pin_cores` is requested *and*
 /// [`pinning_available`] holds — otherwise every caller sees `None` and
@@ -146,13 +146,6 @@ impl CoreMap {
     pub(crate) fn core(&self, slot: usize) -> usize {
         (self.offset + slot) % self.cores
     }
-
-    /// Pins the calling thread to slot `slot`'s core (the driver pins
-    /// itself; workers and the collector are handed their core through
-    /// their spawn arguments).
-    pub(crate) fn pin_current(&self, slot: usize) {
-        affinity::pin_current_thread(self.core(slot));
-    }
 }
 
 /// Pins the calling thread to `core`; worker/collector threads call this
@@ -161,13 +154,18 @@ pub(crate) fn pin_thread(core: usize) {
     affinity::pin_current_thread(core);
 }
 
-/// Restores the calling thread's affinity to all cores (the driver runs
-/// on the caller's thread, which must not stay pinned after the run).
+/// Restores the calling thread's affinity to all cores (the public
+/// [`crate::unpin_thread`], for bench binaries that pin by hand).
 pub(crate) fn unpin_thread() {
     affinity::unpin_current_thread();
 }
 
 /// The shared stream clock: maps wall-clock time to stream time.
+///
+/// Its start instant is the run's single time origin: workers stamp
+/// results against it, and the paced driver schedules every injection
+/// relative to it ([`StreamClock::start`]), so a result's latency never
+/// includes time spent before the clock started.
 pub(crate) struct StreamClock {
     pacing: Pacing,
     start: Instant,
@@ -183,6 +181,11 @@ impl StreamClock {
             start: Instant::now(),
             injected_us: AtomicU64::new(0),
         }
+    }
+
+    /// The wall-clock instant stream time zero maps to.
+    pub(crate) fn start(&self) -> Instant {
+        self.start
     }
 
     pub(crate) fn note_injection(&self, at: Timestamp) {
@@ -289,18 +292,21 @@ pub(crate) struct EntryBatcher<M, R, S> {
     tx: Sender<MessageBatch<R, S>>,
     wrap: fn(Vec<M>) -> MessageBatch<R, S>,
     /// Drained frame buffers flowing back from the direction's sink node
-    /// (rightmost for left-to-right frames, node 0 for the other way).
-    /// When wired, flushed frames are assembled in recycled buffers and
-    /// steady-state injection allocates no fresh `Vec`s.
-    recycle: Option<Receiver<Vec<M>>>,
+    /// (rightmost for left-to-right frames, node 0 for the other way):
+    /// flushed frames are assembled in recycled buffers, so steady-state
+    /// injection allocates no fresh `Vec`s.
+    recycle: Receiver<Vec<M>>,
+    /// Buffers rescued from a replaced flow-back ring; spent first.
+    spare: Vec<Vec<M>>,
     /// Buffers this batcher had to allocate because the recycle ring was
-    /// empty (or absent).  The honesty counter behind the arena tests.
+    /// empty.  The honesty counter behind the arena tests.
     pub(crate) fresh_allocs: u64,
 }
 
 impl<M, R, S> EntryBatcher<M, R, S> {
     pub(crate) fn new(
         tx: Sender<MessageBatch<R, S>>,
+        recycle: Receiver<Vec<M>>,
         wrap: fn(Vec<M>) -> MessageBatch<R, S>,
     ) -> Self {
         EntryBatcher {
@@ -309,24 +315,31 @@ impl<M, R, S> EntryBatcher<M, R, S> {
             started_at: None,
             tx,
             wrap,
-            recycle: None,
+            recycle,
+            spare: Vec::new(),
             fresh_allocs: 0,
         }
     }
 
-    /// Wires the buffer flow-back ring from this direction's sink worker.
+    /// Re-points the buffer flow-back ring at a new sink worker.  Buffers
+    /// still parked in the old ring are kept, not dropped.
     pub(crate) fn set_recycle(&mut self, rx: Receiver<Vec<M>>) {
-        self.recycle = Some(rx);
+        let old = std::mem::replace(&mut self.recycle, rx);
+        while let Ok(buf) = old.try_recv() {
+            self.spare.push(buf);
+        }
     }
 
     /// The buffer the next frame is assembled in: recycled when the sink
     /// has flowed one back, freshly allocated (and counted) otherwise.
     fn next_buffer(&mut self) -> Vec<M> {
-        if let Some(rx) = &self.recycle {
-            if let Ok(mut buf) = rx.try_recv() {
-                buf.clear();
-                return buf;
-            }
+        if let Some(mut buf) = self.spare.pop() {
+            buf.clear();
+            return buf;
+        }
+        if let Ok(mut buf) = self.recycle.try_recv() {
+            buf.clear();
+            return buf;
         }
         self.fresh_allocs += 1;
         Vec::new()
@@ -409,10 +422,9 @@ impl<M, R, S> EntryBatcher<M, R, S> {
     }
 }
 
-/// The driver's entry-frame assembly state for both directions.  The fixed
-/// runtime shares it (behind a mutex) with the wall-clock flush-timer
-/// thread; the elastic driver owns it and plays the timer role itself
-/// inside its sliced pacing wait.
+/// The driver's entry-frame assembly state for both directions.  The
+/// driver owns it outright: its sliced pacing wait doubles as the
+/// `flush_interval` timer, so no other thread ever touches it.
 pub(crate) struct EntryState<R, S> {
     pub(crate) left: EntryBatcher<LeftToRight<R>, R, S>,
     pub(crate) right: EntryBatcher<RightToLeft<S>, R, S>,
@@ -420,13 +432,17 @@ pub(crate) struct EntryState<R, S> {
 }
 
 impl<R, S> EntryState<R, S> {
+    /// Entry state sending on the two entry channels and recycling the
+    /// buffers a [`ChainArena`]'s sinks flow back.
     pub(crate) fn new(
         left_tx: Sender<MessageBatch<R, S>>,
         right_tx: Sender<MessageBatch<R, S>>,
+        recycle_ltr: Receiver<LtrBuf<R>>,
+        recycle_rtl: Receiver<RtlBuf<S>>,
     ) -> Self {
         EntryState {
-            left: EntryBatcher::new(left_tx, MessageBatch::Left),
-            right: EntryBatcher::new(right_tx, MessageBatch::Right),
+            left: EntryBatcher::new(left_tx, recycle_ltr, MessageBatch::Left),
+            right: EntryBatcher::new(right_tx, recycle_rtl, MessageBatch::Right),
             frames_injected: 0,
         }
     }
@@ -459,8 +475,8 @@ impl<R, S> EntryState<R, S> {
 type Frame<R, S> = MessageBatch<R, S>;
 
 /// Control messages the pipeline sends to a worker through its mailbox.
-/// Commands only travel while the pipeline is fenced; a fixed pipeline
-/// never sends one.
+/// Commands only travel while the pipeline is fenced; a run with an empty
+/// scale plan never sends one.
 pub(crate) enum WorkerCommand<R, S> {
     /// Renumber the node and (optionally) replace channel endpoints.
     Rewire {
@@ -472,6 +488,8 @@ pub(crate) enum WorkerCommand<R, S> {
         /// with `x` (which may itself be `None`: the node became an end).
         to_left: Option<Option<Sender<Frame<R, S>>>>,
         to_right: Option<Option<Sender<Frame<R, S>>>>,
+        /// The worker's legs of the resized chain's arena circulation.
+        arena: ArenaLegs<R, S>,
         done: Sender<ScaleConfirm>,
     },
     /// Absorb one migrated segment arriving from the `from` side, install
@@ -537,10 +555,8 @@ pub(crate) struct WorkerShared<R, S> {
     pub(crate) in_flight: Arc<InFlight>,
     pub(crate) results: Sender<TimedResult<R, S>>,
     /// This worker's busy-nanoseconds slot on the metrics bus; bumped
-    /// (relaxed) after every frame.  `None` skips the instrumentation
-    /// entirely (the fixed pipeline, whose bus nobody samples): no
-    /// `Instant::now` pair on the frame hot path.
-    pub(crate) busy_ns: Option<Arc<AtomicU64>>,
+    /// (relaxed) after every frame.
+    pub(crate) busy_ns: Arc<AtomicU64>,
 }
 
 /// What a worker reports when its thread exits.
@@ -552,9 +568,7 @@ pub(crate) struct WorkerExit {
     pub(crate) batch_allocs: u64,
 }
 
-/// Per-worker placement and arena wiring, decided by the pipeline that
-/// spawns the worker.  Bundled so [`Worker::spawn`] keeps a readable
-/// signature as transports grow knobs.
+/// Per-worker placement, decided by the pipeline that spawns the worker.
 pub(crate) struct WorkerWiring<R, S> {
     /// The wait set the worker parks on.  Created by the *caller* so ring
     /// channels feeding this worker can bind it at construction (the
@@ -562,59 +576,105 @@ pub(crate) struct WorkerWiring<R, S> {
     pub(crate) waitset: WaitSet,
     /// Core to pin the worker thread to, when a [`CoreMap`] is active.
     pub(crate) pin_core: Option<usize>,
-    /// Where the worker flows drained left-to-right frame buffers once it
-    /// is the rightmost node (that direction's sink).  `None` keeps them
-    /// in the local pool.
-    pub(crate) recycle_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    /// Same for right-to-left buffers once the worker is node 0.
-    pub(crate) recycle_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// Surplus LTR buffers the rightmost node returns to node 0 once the
-    /// driver's flow-back ring is full.  Node 0 *originates* LTR frames
-    /// (an acknowledgement frame per right-to-left frame it handles)
-    /// without receiving a matching LTR buffer, so without this leg it
-    /// allocates once per handled frame while the driver's ring overflows
-    /// with the very buffers it needs.
-    pub(crate) xfer_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    /// The receiving half at node 0: refills `take_ltr` after the pool.
-    pub(crate) refill_ltr: Option<Receiver<Vec<LeftToRight<R>>>>,
-    /// Mirror legs for RTL buffers: node 0 (the RTL sink) returns surplus
-    /// to the rightmost node, the RTL originator.
-    pub(crate) xfer_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// The receiving half at the rightmost node.
-    pub(crate) refill_rtl: Option<Receiver<Vec<RightToLeft<S>>>>,
+    /// The worker's legs of the chain's frame-buffer circulation.
+    pub(crate) arena: ArenaLegs<R, S>,
 }
 
-impl<R, S> WorkerWiring<R, S> {
-    pub(crate) fn new(waitset: WaitSet) -> Self {
-        WorkerWiring {
-            waitset,
-            pin_core: None,
-            recycle_ltr: None,
-            recycle_rtl: None,
-            xfer_ltr: None,
-            refill_ltr: None,
-            xfer_rtl: None,
-            refill_rtl: None,
+/// How many drained buffers each leg of the arena circulation holds.
+/// Pure capacity recycling: a full leg drops the buffer, an empty one
+/// costs an allocation.
+const RECYCLE_DEPTH: usize = 8;
+
+type LtrBuf<R> = Vec<LeftToRight<R>>;
+type RtlBuf<S> = Vec<RightToLeft<S>>;
+
+/// One worker's legs of the frame-buffer circulation (see
+/// [`ChainArena`]).  Every leg is a best-effort SPSC ring.
+pub(crate) struct ArenaLegs<R, S> {
+    /// Where the rightmost node (the left-to-right sink) flows drained
+    /// LTR buffers back to the driver's left batcher.
+    recycle_ltr: Option<Sender<LtrBuf<R>>>,
+    /// Same for RTL buffers at node 0.
+    recycle_rtl: Option<Sender<RtlBuf<S>>>,
+    /// Surplus LTR buffers towards the left neighbour.  Node 0
+    /// *originates* LTR frames (an acknowledgement frame per right-to-left
+    /// frame it handles) without receiving a matching LTR buffer, so
+    /// without this leg it allocates once per handled frame while the
+    /// driver's ring overflows with the very buffers it needs.
+    xfer_ltr: Option<Sender<LtrBuf<R>>>,
+    /// Surplus LTR buffers arriving from the right neighbour.
+    refill_ltr: Option<Receiver<LtrBuf<R>>>,
+    /// Mirror leg for RTL buffers, towards the right neighbour (the
+    /// rightmost node originates expedition-end markers).
+    xfer_rtl: Option<Sender<RtlBuf<S>>>,
+    /// Surplus RTL buffers arriving from the left neighbour.
+    refill_rtl: Option<Receiver<RtlBuf<S>>>,
+}
+
+/// The frame-buffer circulation of one chain width.
+///
+/// Each direction's sink node returns drained entry buffers to the
+/// driver's batcher over a small ring.  Buffers end their life at
+/// whatever node their last message terminates on (acknowledgement frames
+/// at the rightmost node, expedition-end markers at the home node), while
+/// new frames originate at the opposite end, so surplus LTR buffers
+/// migrate leftward to node 0 and surplus RTL buffers rightward to the
+/// rightmost node, hop by hop (each hop is SPSC by construction; a single
+/// ring would be MPSC).  Middle nodes relay opportunistically, one buffer
+/// per handled frame.
+///
+/// The legs follow the chain's shape, so every resize builds a fresh
+/// arena for the new width inside its fence and re-points the driver's
+/// batchers and every worker at it.  The batchers keep the buffers still
+/// parked in their old flow-back rings; those on the old worker legs are
+/// dropped, so a resize costs a handful of allocations, not a leak.
+pub(crate) struct ChainArena<R, S> {
+    /// Legs of node `k`, indexed by node id.
+    pub(crate) legs: Vec<ArenaLegs<R, S>>,
+    /// The driver's end of the rightmost node's flow-back ring.
+    pub(crate) recycle_ltr: Receiver<LtrBuf<R>>,
+    /// The driver's end of node 0's flow-back ring.
+    pub(crate) recycle_rtl: Receiver<RtlBuf<S>>,
+}
+
+impl<R, S> ChainArena<R, S> {
+    pub(crate) fn new(nodes: usize) -> Self {
+        assert!(nodes > 0, "a chain has at least one node");
+        let mut legs: Vec<ArenaLegs<R, S>> = (0..nodes)
+            .map(|_| ArenaLegs {
+                recycle_ltr: None,
+                recycle_rtl: None,
+                xfer_ltr: None,
+                refill_ltr: None,
+                xfer_rtl: None,
+                refill_rtl: None,
+            })
+            .collect();
+        let (tx, recycle_ltr) = spsc_bounded(RECYCLE_DEPTH, None);
+        legs[nodes - 1].recycle_ltr = Some(tx);
+        let (tx, recycle_rtl) = spsc_bounded(RECYCLE_DEPTH, None);
+        legs[0].recycle_rtl = Some(tx);
+        for k in 0..nodes - 1 {
+            let (tx, rx) = spsc_bounded(RECYCLE_DEPTH, None);
+            legs[k + 1].xfer_ltr = Some(tx);
+            legs[k].refill_ltr = Some(rx);
+            let (tx, rx) = spsc_bounded(RECYCLE_DEPTH, None);
+            legs[k].xfer_rtl = Some(tx);
+            legs[k + 1].refill_rtl = Some(rx);
+        }
+        ChainArena {
+            legs,
+            recycle_ltr,
+            recycle_rtl,
         }
     }
 }
 
-/// The control plane's handle on one spawned worker.  `cmd_tx` is `None`
-/// for workers spawned without a mailbox (the fixed pipeline).
+/// The control plane's handle on one spawned worker.
 pub(crate) struct WorkerHandle<R, S> {
     pub(crate) handle: JoinHandle<WorkerExit>,
-    pub(crate) cmd_tx: Option<Sender<WorkerCommand<R, S>>>,
+    pub(crate) commands: Sender<WorkerCommand<R, S>>,
     pub(crate) waitset: WaitSet,
-}
-
-impl<R, S> WorkerHandle<R, S> {
-    /// The command mailbox; panics on a worker spawned without one (only
-    /// elastic pipelines send commands, and they always spawn with it).
-    pub(crate) fn commands(&self) -> &Sender<WorkerCommand<R, S>> {
-        self.cmd_tx
-            .as_ref()
-            .expect("worker was spawned without a command mailbox")
-    }
 }
 
 /// One worker thread: a pipeline node plus its channel endpoints.
@@ -626,9 +686,8 @@ pub(crate) struct Worker<R, S> {
     right_rx: Receiver<Frame<R, S>>,
     to_left: Option<Sender<Frame<R, S>>>,
     to_right: Option<Sender<Frame<R, S>>>,
-    /// Elastic command mailbox; `None` on a fixed pipeline, which also
-    /// skips the per-iteration mailbox poll (one channel lock per frame).
-    cmd_rx: Option<Receiver<WorkerCommand<R, S>>>,
+    /// Command mailbox of the control plane.
+    cmd_rx: Receiver<WorkerCommand<R, S>>,
     waitset: WaitSet,
     shared: WorkerShared<R, S>,
     /// A handoff segment that arrived before this worker processed its
@@ -644,15 +703,8 @@ pub(crate) struct Worker<R, S> {
     /// circulates indefinitely.
     pool_ltr: Vec<Vec<LeftToRight<R>>>,
     pool_rtl: Vec<Vec<RightToLeft<S>>>,
-    /// Flow-back rings towards the driver's entry batchers (see
-    /// [`WorkerWiring`]).
-    recycle_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    recycle_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    /// Surplus legs between the two chain ends (see [`WorkerWiring`]).
-    xfer_ltr: Option<Sender<Vec<LeftToRight<R>>>>,
-    refill_ltr: Option<Receiver<Vec<LeftToRight<R>>>>,
-    xfer_rtl: Option<Sender<Vec<RightToLeft<S>>>>,
-    refill_rtl: Option<Receiver<Vec<RightToLeft<S>>>>,
+    /// This worker's legs of the chain's arena circulation.
+    arena: ArenaLegs<R, S>,
     batch_allocs: u64,
 }
 
@@ -662,12 +714,10 @@ where
     S: Clone + Send + 'static,
 {
     /// Spawns a worker thread for position `id` of `nodes`, registering
-    /// the wiring's wait set with both inputs — and, when `with_mailbox`
-    /// is set (elastic pipelines), with a command mailbox.  A mailbox-less
-    /// worker never pays the per-iteration command poll.  The wait set
-    /// arrives pre-made inside `wiring` because ring inputs already bound
-    /// it at channel construction (`set_waiter` then only asserts the
-    /// binding matches).
+    /// the wiring's wait set with both inputs and with a fresh command
+    /// mailbox.  The wait set arrives pre-made inside `wiring` because
+    /// ring inputs already bound it at channel construction (`set_waiter`
+    /// then only asserts the binding matches).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn spawn(
         id: usize,
@@ -678,21 +728,15 @@ where
         to_left: Option<Sender<Frame<R, S>>>,
         to_right: Option<Sender<Frame<R, S>>>,
         shared: WorkerShared<R, S>,
-        with_mailbox: bool,
         wiring: WorkerWiring<R, S>,
     ) -> WorkerHandle<R, S> {
         let waitset = wiring.waitset;
         left_rx.set_waiter(&waitset);
         right_rx.set_waiter(&waitset);
-        let (cmd_tx, cmd_rx) = if with_mailbox {
-            // Command mailboxes are MPSC (control plane + neighbours) and
-            // stay on the mutex transport, which binds waiters late.
-            let (tx, rx) = unbounded();
-            rx.set_waiter(&waitset);
-            (Some(tx), Some(rx))
-        } else {
-            (None, None)
-        };
+        // Command mailboxes stay on the mutex transport, which binds
+        // waiters late.
+        let (commands, cmd_rx) = unbounded();
+        cmd_rx.set_waiter(&waitset);
         let worker = Worker {
             id,
             nodes,
@@ -709,17 +753,12 @@ where
             pin_core: wiring.pin_core,
             pool_ltr: Vec::new(),
             pool_rtl: Vec::new(),
-            recycle_ltr: wiring.recycle_ltr,
-            recycle_rtl: wiring.recycle_rtl,
-            xfer_ltr: wiring.xfer_ltr,
-            refill_ltr: wiring.refill_ltr,
-            xfer_rtl: wiring.xfer_rtl,
-            refill_rtl: wiring.refill_rtl,
+            arena: wiring.arena,
             batch_allocs: 0,
         };
         WorkerHandle {
             handle: thread::spawn(move || worker.run()),
-            cmd_tx,
+            commands,
             waitset,
         }
     }
@@ -737,13 +776,11 @@ where
             // landing between the polls and the park bumps the epoch first,
             // so the wait returns immediately — no lost wake-ups.
             let seen = self.waitset.epoch();
-            if let Some(cmd_rx) = &self.cmd_rx {
-                if let Ok(cmd) = cmd_rx.try_recv() {
-                    if self.execute(cmd) {
-                        break;
-                    }
-                    continue;
+            if let Ok(cmd) = self.cmd_rx.try_recv() {
+                if self.execute(cmd) {
+                    break;
                 }
+                continue;
             }
             let frame = if poll_left_first {
                 self.left_rx
@@ -761,7 +798,7 @@ where
                     if self.shared.stop.load(Ordering::SeqCst)
                         && self.left_rx.is_empty()
                         && self.right_rx.is_empty()
-                        && self.cmd_rx.as_ref().is_none_or(|rx| rx.is_empty())
+                        && self.cmd_rx.is_empty()
                     {
                         break;
                     }
@@ -784,18 +821,17 @@ where
 
     /// Returns a drained left-to-right frame buffer to circulation: flowed
     /// back to the driver when this worker is that direction's sink (the
-    /// rightmost node), pooled locally otherwise.  The flow-back ring is
-    /// best-effort (`try_send`): a full ring just drops the buffer.
+    /// rightmost node, the only one with a `recycle_ltr` leg), pooled
+    /// locally otherwise.  The flow-back ring is best-effort (`try_send`):
+    /// a full ring just drops the buffer.
     fn stash_ltr(&mut self, buf: Vec<LeftToRight<R>>) {
         let mut buf = buf;
         // Sink priority: the driver's flow-back ring drains exactly one
         // buffer per entry flush; everything beyond that is surplus.
-        if self.id + 1 == self.nodes {
-            if let Some(tx) = &self.recycle_ltr {
-                match tx.try_send(buf) {
-                    Ok(()) => return,
-                    Err(back) => buf = back,
-                }
+        if let Some(tx) = &self.arena.recycle_ltr {
+            match tx.try_send(buf) {
+                Ok(()) => return,
+                Err(back) => buf = back,
             }
         }
         if self.pool_ltr.len() < ARENA_POOL {
@@ -807,7 +843,7 @@ where
         // originator (acknowledgement frames start there without a
         // matching incoming buffer).  Best-effort: a full leg just costs
         // the originator one allocation.
-        if let Some(tx) = &self.xfer_ltr {
+        if let Some(tx) = &self.arena.xfer_ltr {
             let _ = tx.try_send(buf);
         }
     }
@@ -817,19 +853,17 @@ where
     /// surplus flows rightward hop by hop.
     fn stash_rtl(&mut self, buf: Vec<RightToLeft<S>>) {
         let mut buf = buf;
-        if self.id == 0 {
-            if let Some(tx) = &self.recycle_rtl {
-                match tx.try_send(buf) {
-                    Ok(()) => return,
-                    Err(back) => buf = back,
-                }
+        if let Some(tx) = &self.arena.recycle_rtl {
+            match tx.try_send(buf) {
+                Ok(()) => return,
+                Err(back) => buf = back,
             }
         }
         if self.pool_rtl.len() < ARENA_POOL {
             self.pool_rtl.push(buf);
             return;
         }
-        if let Some(tx) = &self.xfer_rtl {
+        if let Some(tx) = &self.arena.xfer_rtl {
             let _ = tx.try_send(buf);
         }
     }
@@ -841,20 +875,20 @@ where
     /// balanced) would stall the daisy chain: buffers terminating at a
     /// middle home would never reach the end node that keeps allocating.
     fn relay_surplus(&mut self) {
-        if let Some(rx) = &self.refill_ltr {
+        if let Some(rx) = &self.arena.refill_ltr {
             if let Ok(buf) = rx.try_recv() {
                 if self.pool_ltr.len() < ARENA_POOL {
                     self.pool_ltr.push(buf);
-                } else if let Some(tx) = &self.xfer_ltr {
+                } else if let Some(tx) = &self.arena.xfer_ltr {
                     let _ = tx.try_send(buf);
                 }
             }
         }
-        if let Some(rx) = &self.refill_rtl {
+        if let Some(rx) = &self.arena.refill_rtl {
             if let Ok(buf) = rx.try_recv() {
                 if self.pool_rtl.len() < ARENA_POOL {
                     self.pool_rtl.push(buf);
-                } else if let Some(tx) = &self.xfer_rtl {
+                } else if let Some(tx) = &self.arena.xfer_rtl {
                     let _ = tx.try_send(buf);
                 }
             }
@@ -865,7 +899,7 @@ where
         if let Some(buf) = self.pool_ltr.pop() {
             return buf;
         }
-        if let Some(rx) = &self.refill_ltr {
+        if let Some(rx) = &self.arena.refill_ltr {
             if let Ok(mut buf) = rx.try_recv() {
                 buf.clear();
                 return buf;
@@ -879,7 +913,7 @@ where
         if let Some(buf) = self.pool_rtl.pop() {
             return buf;
         }
-        if let Some(rx) = &self.refill_rtl {
+        if let Some(rx) = &self.arena.refill_rtl {
             if let Ok(mut buf) = rx.try_recv() {
                 buf.clear();
                 return buf;
@@ -912,7 +946,7 @@ where
             self.pending_segment = Some(handoff);
             return;
         }
-        let busy_start = self.shared.busy_ns.is_some().then(Instant::now);
+        let busy_start = Instant::now();
         let is_leftmost = self.id == 0;
         let is_rightmost = self.id + 1 == self.nodes;
         self.node.observe_time(self.shared.clock.now());
@@ -1011,9 +1045,9 @@ where
             Some((false, ts)) => self.shared.hwm.observe_s(ts),
             None => {}
         }
-        if let (Some(slot), Some(started)) = (&self.shared.busy_ns, busy_start) {
-            slot.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        }
+        self.shared
+            .busy_ns
+            .fetch_add(busy_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.relay_surplus();
         self.shared.in_flight.finish();
     }
@@ -1028,9 +1062,11 @@ where
                 right_rx,
                 to_left,
                 to_right,
+                arena,
                 done,
             } => {
                 self.id = id;
+                self.arena = arena;
                 self.nodes = nodes;
                 self.node
                     .set_position(id, nodes)
@@ -1264,20 +1300,20 @@ pub(crate) struct CollectorConfig {
     pub(crate) pin_core: Option<usize>,
 }
 
-/// Spawns the collector thread over the given per-worker result queues.
+/// Spawns the collector thread over the chain's result queue (every
+/// worker, including ones a later grow spawns, sends into it).
 ///
 /// Step 1 of the paper's Section 6.1.3 is preserved: the high-water marks
-/// are read *before* the queues are vacuumed, so every punctuation `p`
+/// are read *before* the queue is vacuumed, so every punctuation `p`
 /// emitted after a batch of results is a valid promise (no later result
-/// can carry a smaller timestamp).  With a metrics bus attached (elastic
-/// pipelines), every collected latency is also fed into the bus's EWMA
-/// for the auto-scaler; `None` skips the per-result CAS.
+/// can carry a smaller timestamp).  Every collected latency is also fed
+/// into the metrics bus's EWMA for the auto-scaler.
 pub(crate) fn spawn_collector<R, S>(
-    receivers: Vec<Receiver<TimedResult<R, S>>>,
+    results: Receiver<TimedResult<R, S>>,
     stop: Arc<AtomicBool>,
     stop_signal: WaitSet,
     hwm: Arc<HighWaterMarks>,
-    metrics: Option<Arc<MetricsBus>>,
+    metrics: Arc<MetricsBus>,
     config: CollectorConfig,
 ) -> JoinHandle<CollectorOutcome<R, S>>
 where
@@ -1299,23 +1335,19 @@ where
             let seen = stop_signal.epoch();
             let stopping = stop.load(Ordering::SeqCst);
             // Step 1 (Section 6.1.3): read the high-water marks before
-            // vacuuming the queues.
+            // vacuuming the queue.
             let safe = hwm.safe_punctuation();
             let mut drained_any = false;
-            for rx in &receivers {
-                while let Ok(timed) = rx.try_recv() {
-                    drained_any = true;
-                    let latency = timed.latency();
-                    outcome.latency.record(latency);
-                    outcome.series.record(timed.detected_at, latency);
-                    if let Some(bus) = &metrics {
-                        bus.observe_latency(latency);
-                    }
-                    if config.punctuate {
-                        outcome.output.push(OutputItem::Result(timed.clone()));
-                    }
-                    outcome.results.push(timed);
+            while let Ok(timed) = results.try_recv() {
+                drained_any = true;
+                let latency = timed.latency();
+                outcome.latency.record(latency);
+                outcome.series.record(timed.detected_at, latency);
+                metrics.observe_latency(latency);
+                if config.punctuate {
+                    outcome.output.push(OutputItem::Result(timed.clone()));
                 }
+                outcome.results.push(timed);
             }
             if config.punctuate && drained_any {
                 outcome

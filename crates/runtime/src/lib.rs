@@ -17,14 +17,18 @@
 //! [`channel::WaitSet`] registered with both of its input channels and is
 //! woken by the next frame on either input (or by shutdown) — there is no
 //! polling loop anywhere in the pipeline.  On paced runs with a
-//! `flush_interval`, a wall-clock timer thread additionally flushes
-//! partial entry frames on real time, so a stream that goes silent cannot
-//! hold results back; see [`pipeline`] for the full picture.
+//! `flush_interval`, the driver's pacing wait is sliced at half the
+//! interval and flushes aged partial entry frames on real time, so a
+//! stream that goes silent cannot hold results back.
+//!
+//! There is one chain driver, [`elastic::ElasticPipeline`];
+//! [`run_pipeline`] is that chain run with an empty scale plan (see
+//! [`pipeline`]).
 //!
 //! Tuning: `batch_size` buys throughput (one channel operation per frame),
 //! `flush_interval` caps the latency that batching can add — set it near
-//! your latency budget and the batch size purely for throughput; with the
-//! timer thread the cap holds even across arrival gaps.
+//! your latency budget and the batch size purely for throughput; the
+//! sliced pacing wait keeps the cap even across arrival gaps.
 //!
 //! ```no_run
 //! use llhj_core::prelude::*;

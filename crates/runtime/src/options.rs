@@ -23,11 +23,11 @@ pub enum Pacing {
 }
 
 /// Which transport carries frames over the chain's SPSC data edges
-/// (driver→node₀, nodeᵢ→nodeᵢ₊₁, node→collector).
+/// (driver→node₀, nodeᵢ→nodeᵢ₊₁).
 ///
-/// The genuinely multi-producer edges — the elastic result channel and
-/// the worker command mailboxes — always use the mutex transport
-/// regardless of this setting.
+/// The genuinely multi-producer edges — the result channel (every worker
+/// → the collector) and the worker command mailboxes — always use the
+/// mutex transport regardless of this setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Transport {
     /// Lock-free SPSC ring buffers ([`crate::ring`]): the default, and
@@ -74,7 +74,7 @@ pub struct PipelineOptions {
     pub channel_capacity: usize,
     /// Whether the collector emits punctuations into the output stream.
     pub punctuate: bool,
-    /// How often the collector vacuums the per-worker result queues.
+    /// How often the collector vacuums the result queue.
     pub collect_interval: Duration,
     /// Bucket size for the latency time series.
     pub latency_bucket: u64,

@@ -1,30 +1,29 @@
-//! The threaded pipeline runtime.
+//! The fixed-width threaded pipeline.
 //!
 //! This module deploys a handshake-join pipeline the way the paper does on
 //! its 48-core machine: one worker thread per processing node, neighbouring
-//! workers connected by point-to-point FIFO links, a driver thread that
-//! replays the window driver's schedule, and a collector thread that
-//! vacuums the per-worker result queues and (optionally) emits
-//! punctuations derived from the high-water marks (Figure 15 / 16 of the
-//! paper).
+//! workers connected by point-to-point FIFO links, a driver that replays
+//! the window driver's schedule, and a collector thread that vacuums the
+//! result queue and (optionally) emits punctuations derived from the
+//! high-water marks (Figure 15 / 16 of the paper).
 //!
-//! The links carry [`MessageBatch`] *frames* rather than individual
-//! messages: the driver groups `batch_size` tuples into one entry frame,
-//! and every worker drains the complete output of one frame into one
-//! outgoing frame per direction.  One channel operation (lock, wake-up) is
-//! thus amortised over the whole run of messages — the granularity
-//! trade-off of the paper's Section 2 made configurable.  A `batch_size`
-//! of 1 degenerates to one message per frame and reproduces the eager
-//! per-tuple transport exactly, FIFO order and quiescence protocol
-//! included.
+//! The links carry [`MessageBatch`](llhj_core::message::MessageBatch)
+//! *frames* rather than individual messages: the driver groups
+//! `batch_size` tuples into one entry frame, and every worker drains the
+//! complete output of one frame into one outgoing frame per direction.
+//! One channel operation (lock, wake-up) is thus amortised over the whole
+//! run of messages — the granularity trade-off of the paper's Section 2
+//! made configurable.  A `batch_size` of 1 degenerates to one message per
+//! frame and reproduces the eager per-tuple transport exactly, FIFO order
+//! and quiescence protocol included.
 //!
-//! The worker threads, entry batching and collector are the *shared*
-//! execution machinery of the crate-private `exec` module — the same code the elastic
-//! pipeline deploys.  A fixed pipeline is an elastic pipeline that never
-//! receives a scale command, so the two paths cannot drift (the ROADMAP
-//! debt PR 4 paid down).  What stays here is only the fixed deployment:
-//! channel wiring for a construction-time node count, the schedule replay
-//! driver, and the wall-clock flush-timer thread.
+//! A fixed chain *is* an elastic chain with no scale plan:
+//! [`run_pipeline`] deploys the given nodes as an [`ElasticPipeline`],
+//! replays the schedule with [`ScalePlan::none`] and maps the outcome
+//! into a [`RunOutcome`].  There is one driver (its sliced pacing wait also
+//! bounds a partial entry frame's wait across a silent stream), one
+//! worker loop and one collector in the runtime, so a fix to any of them
+//! reaches both entry points at once.
 //!
 //! The workers execute exactly the same node state machines as the
 //! discrete-event simulator, so the produced result *set* is identical; the
@@ -32,26 +31,18 @@
 //! is what the evaluation harness uses to sweep core counts beyond the host
 //! machine.
 
-use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
-use crate::exec::{
-    spawn_collector, CollectorConfig, CoreMap, EntryState, InFlight, StreamClock, Worker,
-    WorkerShared, WorkerWiring,
-};
-use crate::options::{Pacing, PipelineOptions, Transport};
-use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
+use crate::elastic::{ElasticPipeline, NodeFactory, ScalePlan};
+use crate::options::PipelineOptions;
+use llhj_core::driver::DriverSchedule;
 use llhj_core::homing::HomePolicy;
-use llhj_core::message::MessageBatch;
 use llhj_core::node::PipelineNode;
 use llhj_core::predicate::JoinPredicate;
-use llhj_core::punctuation::{HighWaterMarks, OutputItem};
+use llhj_core::punctuation::OutputItem;
 use llhj_core::result::TimedResult;
 use llhj_core::stats::{LatencyPoint, LatencySummary, NodeCounters};
-use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
-use llhj_sync::sync::atomic::{AtomicBool, Ordering};
-use llhj_sync::sync::{Arc, Mutex};
-use llhj_sync::thread;
-use llhj_sync::time::{Duration, Instant};
+use llhj_sync::sync::Arc;
+use llhj_sync::time::Duration;
 
 /// Everything measured during one threaded run.
 #[derive(Debug)]
@@ -118,6 +109,8 @@ impl<R, S> RunOutcome<R, S> {
 ///
 /// `nodes` must contain one [`PipelineNode`] per pipeline position, in
 /// order (use [`crate::llhj_nodes`] / [`crate::hsj_nodes`] to build them).
+/// The chain is an elastic chain run with an empty scale plan, so the
+/// nodes need not support state migration.
 pub fn run_pipeline<R, S, P, H>(
     nodes: Vec<Box<dyn PipelineNode<R, S>>>,
     predicate: P,
@@ -128,394 +121,28 @@ pub fn run_pipeline<R, S, P, H>(
 where
     R: Clone + Send + Sync + 'static,
     S: Clone + Send + Sync + 'static,
-    P: JoinPredicate<R, S> + Send,
-    H: HomePolicy,
+    P: JoinPredicate<R, S> + Clone + Send + Sync + 'static,
+    H: HomePolicy + Clone,
 {
-    let n = nodes.len();
-    assert!(n > 0, "pipeline needs at least one node");
-    options
-        .validate()
-        .unwrap_or_else(|err| panic!("invalid PipelineOptions: {err}"));
-    let started = Instant::now();
-
-    let injector = Injector::new(predicate, policy, n);
-    let hwm = HighWaterMarks::new();
-    let stop = Arc::new(AtomicBool::new(false));
-    // Bumped by the driver after `stop` is set so every parked thread
-    // (workers via their own wait sets, the collector via this one)
-    // re-checks the flag immediately instead of timing out.
-    let stop_signal = WaitSet::new();
-    let in_flight = Arc::new(InFlight::new());
-    let clock = Arc::new(StreamClock::new(options.pacing));
-
-    // Core placement: workers take slots 0..n-1, the collector slot n,
-    // the driver slot n+1.  `None` (pinning off, too few cores, non-Linux,
-    // model build) leaves every thread on the scheduler's default policy.
-    let core_map = CoreMap::new(options.pin_cores, n + 2, options.pin_core_offset);
-
-    // Channel wiring: ltr[k] is node k's left input, rtl[k] its right
-    // input; every link carries MessageBatch frames.
-    //
-    // The two channels entering the pipeline from the driver are bounded so
-    // the driver experiences backpressure (it can never run ahead of the
-    // pipeline by more than `channel_capacity` frames).  The links
-    // *between* workers are unbounded: with bounded links a pair of
-    // neighbours could block on sending to each other simultaneously (R
-    // traffic going right, acknowledgements and S traffic going left) and
-    // deadlock; admission control at the driver keeps the actual occupancy
-    // of the inner links small.
-    //
-    // Every data edge here is SPSC by construction, so under
-    // `Transport::Ring` (the default) the links are lock-free ring
-    // channels.  Ring consumers bind their wait set at construction (the
-    // lock-free notify path cannot look one up later), which is why the
-    // per-worker wait sets are created before any channel.
-    type FrameTx<R, S> = Sender<MessageBatch<R, S>>;
-    type FrameRx<R, S> = Receiver<MessageBatch<R, S>>;
-    let waitsets: Vec<WaitSet> = (0..n).map(|_| WaitSet::new()).collect();
-    let ring = options.transport == Transport::Ring;
-    let entry_link = |waiter: &WaitSet| -> (FrameTx<R, S>, FrameRx<R, S>) {
-        if ring {
-            spsc_bounded(options.channel_capacity, Some(waiter))
-        } else {
-            bounded(options.channel_capacity)
-        }
-    };
-    let inner_link = |waiter: &WaitSet| -> (FrameTx<R, S>, FrameRx<R, S>) {
-        if ring {
-            spsc_unbounded(options.ring_capacity, Some(waiter))
-        } else {
-            unbounded()
-        }
-    };
-    let mut ltr_tx: Vec<Option<FrameTx<R, S>>> = Vec::with_capacity(n);
-    let mut ltr_rx: Vec<Option<FrameRx<R, S>>> = Vec::with_capacity(n);
-    let mut rtl_tx: Vec<Option<FrameTx<R, S>>> = Vec::with_capacity(n);
-    let mut rtl_rx: Vec<Option<FrameRx<R, S>>> = Vec::with_capacity(n);
-    for (k, waitset) in waitsets.iter().enumerate() {
-        let (tx, rx) = if k == 0 {
-            entry_link(waitset)
-        } else {
-            inner_link(waitset)
-        };
-        ltr_tx.push(Some(tx));
-        ltr_rx.push(Some(rx));
-        let (tx, rx) = if k == n - 1 {
-            entry_link(waitset)
-        } else {
-            inner_link(waitset)
-        };
-        rtl_tx.push(Some(tx));
-        rtl_rx.push(Some(rx));
-    }
-    let driver_left_tx = ltr_tx[0].take().expect("entry channel");
-    let driver_right_tx = rtl_tx[n - 1].take().expect("entry channel");
-
-    // Per-worker result queues (Figure 15).  SPSC (one worker, the
-    // collector), so the ring transport covers them too; the collector
-    // polls on its vacuum interval rather than parking per result, so no
-    // wait set is bound (ring notifies then hit a set nobody waits on —
-    // a cheap no-op).
-    let mut result_tx: Vec<Sender<TimedResult<R, S>>> = Vec::with_capacity(n);
-    let mut result_rx: Vec<Receiver<TimedResult<R, S>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = if ring {
-            spsc_unbounded(options.ring_capacity, None)
-        } else {
-            unbounded()
-        };
-        result_tx.push(tx);
-        result_rx.push(rx);
-    }
-
-    // Frame-buffer flow-back (the per-worker arena's driver leg): each
-    // direction's sink node returns drained entry buffers to the driver's
-    // batcher over a small best-effort ring.  Pure capacity recycling —
-    // a dropped or missing buffer only costs an allocation.
-    const RECYCLE_DEPTH: usize = 8;
-    let (recycle_ltr_tx, recycle_ltr_rx) = spsc_bounded(RECYCLE_DEPTH, None);
-    let (recycle_rtl_tx, recycle_rtl_rx) = spsc_bounded(RECYCLE_DEPTH, None);
-    // Surplus daisy chains between neighbours: buffers end their life at
-    // whatever node their last message terminates on (acknowledgement
-    // frames at the rightmost node, expedition-end markers at the home
-    // node), while new frames originate at the opposite end — so surplus
-    // LTR buffers must migrate leftward to node 0 and surplus RTL buffers
-    // rightward to node n−1, hop by hop (each hop is SPSC by
-    // construction; a single ring would be MPSC).  Middle nodes relay
-    // opportunistically, one buffer per handled frame.
-    let mut xfer_ltr_tx: Vec<Option<_>> = Vec::new(); // node k+1 -> node k
-    let mut xfer_ltr_rx: Vec<Option<_>> = Vec::new();
-    let mut xfer_rtl_tx: Vec<Option<_>> = Vec::new(); // node k -> node k+1
-    let mut xfer_rtl_rx: Vec<Option<_>> = Vec::new();
-    for _ in 0..n.saturating_sub(1) {
-        let (lt, lr) = spsc_bounded(RECYCLE_DEPTH, None);
-        let (rt, rr) = spsc_bounded(RECYCLE_DEPTH, None);
-        xfer_ltr_tx.push(Some(lt));
-        xfer_ltr_rx.push(Some(lr));
-        xfer_rtl_tx.push(Some(rt));
-        xfer_rtl_rx.push(Some(rr));
-    }
-
-    // ---------------- workers (shared exec machinery) ----------------
-    let mut worker_handles = Vec::with_capacity(n);
-    let mut waitsets_iter = waitsets.into_iter();
-    for (k, node) in nodes.into_iter().enumerate() {
-        let left_rx = ltr_rx[k].take().expect("left input");
-        let right_rx = rtl_rx[k].take().expect("right input");
-        let to_right = if k + 1 < n {
-            ltr_tx[k + 1].take()
-        } else {
-            None
-        };
-        let to_left = if k > 0 { rtl_tx[k - 1].take() } else { None };
-        let shared = WorkerShared {
-            hwm: Arc::clone(&hwm),
-            clock: Arc::clone(&clock),
-            stop: Arc::clone(&stop),
-            in_flight: Arc::clone(&in_flight),
-            results: result_tx[k].clone(),
-            // No metrics bus on the fixed path: nothing samples it, and
-            // the instrumentation would tax every frame for nothing.
-            busy_ns: None,
-        };
-        let mut wiring = WorkerWiring::new(waitsets_iter.next().expect("one wait set per worker"));
-        wiring.pin_core = core_map.as_ref().map(|m| m.core(k));
-        if k + 1 == n {
-            wiring.recycle_ltr = Some(recycle_ltr_tx.clone());
-        }
-        if k == 0 {
-            wiring.recycle_rtl = Some(recycle_rtl_tx.clone());
-        }
-        // Daisy-chain legs: LTR surplus flows leftward (node k sends on
-        // edge k−1, receives on edge k), RTL surplus rightward (sends on
-        // edge k, receives on edge k−1).
-        if k > 0 {
-            wiring.xfer_ltr = xfer_ltr_tx[k - 1].take();
-            wiring.refill_rtl = xfer_rtl_rx[k - 1].take();
-        }
-        if k + 1 < n {
-            wiring.refill_ltr = xfer_ltr_rx[k].take();
-            wiring.xfer_rtl = xfer_rtl_tx[k].take();
-        }
-        worker_handles.push(Worker::spawn(
-            k, n, node, left_rx, right_rx, to_left, to_right, shared, false, wiring,
-        ));
-    }
-    drop(result_tx);
-    drop(recycle_ltr_tx);
-    drop(recycle_rtl_tx);
-
-    // ---------------- collector (shared exec machinery) ----------------
-    let collector_handle = spawn_collector(
-        result_rx,
-        Arc::clone(&stop),
-        stop_signal.clone(),
-        Arc::clone(&hwm),
-        None,
-        CollectorConfig {
-            punctuate: options.punctuate,
-            interval: options.collect_interval,
-            latency_bucket: options.latency_bucket,
-            pin_core: core_map.as_ref().map(|m| m.core(n)),
-        },
-    );
-
-    // The driver (this thread) takes the last pin slot; its affinity is
-    // restored before returning.
-    if let Some(map) = &core_map {
-        map.pin_current(n + 1);
-    }
-
-    // Entry-frame assembly state, shared between the driver and the flush
-    // timer thread.
-    let entry = {
-        let mut state = EntryState::new(driver_left_tx, driver_right_tx);
-        state.left.set_recycle(recycle_ltr_rx);
-        state.right.set_recycle(recycle_rtl_rx);
-        Arc::new(Mutex::new(state))
-    };
-    let timer_stop = WaitSet::new();
-
-    // ---------------- flush timer ----------------
-    // The driver's own timer check below only runs when it observes the
-    // next schedule event — useless on a stream that goes silent, where
-    // a partial frame would wait indefinitely.  A dedicated wall-clock
-    // timer thread bounds that wait in real time: every half interval
-    // it flushes any entry frame older than `flush_interval` of stream
-    // time, regardless of schedule progress.  Only paced runs need it
-    // (an unpaced driver never waits between events).
-    let timer_handle = match (options.pacing, options.flush_interval) {
-        (Pacing::RealTime { .. }, Some(interval)) => {
-            let entry = Arc::clone(&entry);
-            let in_flight = Arc::clone(&in_flight);
-            let clock = Arc::clone(&clock);
-            let timer_stop = timer_stop.clone();
-            let period = (options.stream_to_wall(interval) / 2).max(Duration::from_micros(50));
-            Some(thread::spawn(move || {
-                // The driver notifies `timer_stop` exactly once, at
-                // shutdown.  Snapshot the epoch *before* the loop: a
-                // notify that lands while we are flushing (outside
-                // `wait`) still differs from this snapshot, so the next
-                // wait returns immediately instead of the bump being
-                // absorbed by a per-iteration re-snapshot — which would
-                // leave this thread looping forever and the driver
-                // hanging in `join`.
-                let seen = timer_stop.epoch();
-                loop {
-                    if timer_stop.wait(seen, period) {
-                        // Epoch moved: shutdown.
-                        return;
-                    }
-                    let now = clock.now();
-                    entry
-                        .lock()
-                        .expect("entry state poisoned")
-                        .flush_older_than(now, interval, &in_flight);
-                }
-            }))
-        }
-        _ => None,
-    };
-
-    // ---------------- driver (this thread) ----------------
-    // The driver assembles the two entry frames; a frame is flushed when
-    // it holds `batch_size` arrivals, when its stream has delivered its
-    // last arrival (so the tail pays the normal batching delay rather
-    // than waiting for trailing expiry events), or when the
-    // `flush_interval` has elapsed since the frame started filling —
-    // observed either here (on the next event) or by the timer thread
-    // (in wall time, even if no event ever comes).
-    // The pacing wait parks on the cancel token (a plain WaitSet wait
-    // when no token is configured) instead of `thread::sleep`, so an
-    // external cancel interrupts even a multi-second gap between
-    // schedule events immediately (ROADMAP open item).
-    let frames_injected;
-    let mut idle_wakeups = 0u64;
-    let mut cancelled = false;
-    // Arrivals actually handed to the pipeline: equal to the schedule's
-    // counts unless the run is cancelled mid-replay.
-    let mut seen_r = 0usize;
-    let mut seen_s = 0usize;
-    let cancel = options.cancel.clone().unwrap_or_default();
-    for event in schedule.events() {
-        if cancel.is_cancelled() {
-            cancelled = true;
-            break;
-        }
-        if let Pacing::RealTime { .. } = options.pacing {
-            let target = options.stream_to_wall(event.at.saturating_since(Timestamp::ZERO));
-            let elapsed = started.elapsed();
-            if target > elapsed && cancel.wait_until(started + target) {
-                cancelled = true;
-                break;
-            }
-        }
-        clock.note_injection(event.at);
-
-        let mut state = entry.lock().expect("entry state poisoned");
-        let state = &mut *state;
-        // Timer flush: a partial frame must not outwait the interval.
-        if let Some(interval) = options.flush_interval {
-            state.flush_older_than(event.at, interval, &in_flight);
-        }
-
-        match &event.event {
-            StreamEvent::ArrivalR(r) => {
-                state
-                    .left
-                    .push_arrival(injector.inject_r(r.clone()), event.at);
-                seen_r += 1;
-                if state.left.arrivals >= options.batch_size || seen_r == schedule.r_count() {
-                    state.left.flush(&in_flight, &mut state.frames_injected);
-                }
-            }
-            StreamEvent::ExpireS(seq) => {
-                // An expiry must never overtake its own arrival still
-                // parked in the opposite entry buffer (see the elastic
-                // driver's `inject` for the full argument).
-                if state.right.holds_pending(
-                    |m| matches!(m, llhj_core::message::RightToLeft::ArrivalS(t) if t.tuple.seq == *seq),
-                ) {
-                    state.right.flush(&in_flight, &mut state.frames_injected);
-                    // Workers never take the entry lock, so waiting here
-                    // (with it held) cannot deadlock; the timer thread
-                    // simply blocks on the lock until the wait returns.
-                    in_flight.wait_for_quiescence();
-                }
-                state
-                    .left
-                    .push(llhj_core::message::LeftToRight::ExpiryS(*seq), event.at)
-            }
-            StreamEvent::ArrivalS(s) => {
-                state
-                    .right
-                    .push_arrival(injector.inject_s(s.clone()), event.at);
-                seen_s += 1;
-                if state.right.arrivals >= options.batch_size || seen_s == schedule.s_count() {
-                    state.right.flush(&in_flight, &mut state.frames_injected);
-                }
-            }
-            StreamEvent::ExpireR(seq) => {
-                if state.left.holds_pending(
-                    |m| matches!(m, llhj_core::message::LeftToRight::ArrivalR(t) if t.tuple.seq == *seq),
-                ) {
-                    state.left.flush(&in_flight, &mut state.frames_injected);
-                    in_flight.wait_for_quiescence();
-                }
-                state
-                    .right
-                    .push(llhj_core::message::RightToLeft::ExpiryR(*seq), event.at)
-            }
-        }
-    }
-    // Tail flush: whatever is still pending (trailing expiries).
-    let mut batch_allocs;
-    {
-        let mut state = entry.lock().expect("entry state poisoned");
-        state.flush_both(&in_flight);
-        frames_injected = state.frames_injected;
-        batch_allocs = state.left.fresh_allocs + state.right.fresh_allocs;
-    }
-    timer_stop.notify();
-    if let Some(handle) = timer_handle {
-        handle.join().expect("timer thread panicked");
-    }
-
-    // Wait for quiescence: no frame anywhere in the pipeline.
-    in_flight.wait_for_quiescence();
-    stop.store(true, Ordering::SeqCst);
-    // Wake every parked thread so it observes the stop flag now rather
-    // than at its next safety-net timeout.
-    for handle in &worker_handles {
-        handle.waitset.notify();
-    }
-    stop_signal.notify();
-
-    let mut counters = vec![NodeCounters::default(); n];
-    for (k, handle) in worker_handles.into_iter().enumerate() {
-        let exit = handle.handle.join().expect("worker thread panicked");
-        counters[k] = exit.counters;
-        idle_wakeups += exit.idle_wakeups;
-        batch_allocs += exit.batch_allocs;
-    }
-    let collected = collector_handle.join().expect("collector thread panicked");
-    if core_map.is_some() {
-        crate::exec::unpin_thread();
-    }
-
+    let never_grows: NodeFactory<R, S> =
+        Arc::new(|_, _| unreachable!("an empty scale plan never grows the chain"));
+    let mut pipeline =
+        ElasticPipeline::with_nodes(nodes, never_grows, predicate, policy, options.clone());
+    pipeline.run_schedule(schedule, &ScalePlan::none());
+    let outcome = pipeline.finish();
     RunOutcome {
-        results: collected.results,
-        output: collected.output,
-        counters,
-        latency: collected.latency,
-        latency_series: collected.series.finish(),
-        elapsed: started.elapsed(),
-        punctuation_count: collected.punctuation_count,
-        arrivals_per_stream: (seen_r, seen_s),
-        frames_injected,
-        batch_allocs,
-        idle_wakeups,
-        cancelled,
+        results: outcome.results,
+        output: outcome.output,
+        counters: outcome.counters,
+        latency: outcome.latency,
+        latency_series: outcome.latency_series,
+        elapsed: outcome.elapsed,
+        punctuation_count: outcome.punctuation_count,
+        arrivals_per_stream: outcome.arrivals_per_stream,
+        frames_injected: outcome.frames_injected,
+        batch_allocs: outcome.batch_allocs,
+        idle_wakeups: outcome.idle_wakeups,
+        cancelled: outcome.cancelled,
     }
 }
 
@@ -523,11 +150,13 @@ where
 mod tests {
     use super::*;
     use crate::llhj_nodes;
-    use llhj_core::driver::DriverSchedule;
+    use crate::options::Pacing;
     use llhj_core::homing::RoundRobin;
     use llhj_core::predicate::FnPredicate;
-    use llhj_core::time::TimeDelta;
+    use llhj_core::time::{TimeDelta, Timestamp};
     use llhj_core::window::WindowSpec;
+    use llhj_sync::thread;
+    use llhj_sync::time::Instant;
 
     #[test]
     #[should_panic(expected = "invalid PipelineOptions")]
@@ -614,15 +243,16 @@ mod tests {
         assert_eq!(outcome.arrivals_per_stream, (1, 1));
     }
 
-    /// The reason the wall-clock timer thread exists: a stream that goes
-    /// silent mid-run must not hold a partial entry frame until the driver
-    /// happens to observe the next schedule event.
+    /// A stream that goes silent mid-run must not hold a partial entry
+    /// frame until the driver happens to observe the next schedule event:
+    /// the driver's pacing wait is sliced at half the flush interval and
+    /// flushes aged frames on every slice.
     #[test]
     fn flush_timer_bounds_latency_across_a_silent_gap() {
         let pred = FnPredicate(|r: &u32, s: &u32| r == s);
         // One matching pair right at the start, then ~700 ms of silence
-        // before the streams resume.  The driver sleeps through the gap,
-        // so only the timer thread can release the first frame.
+        // before the streams resume.  The driver waits out the gap, so
+        // only its sliced wait can release the first frame.
         let mk = |v: u32| {
             vec![
                 (Timestamp::from_millis(1), v),

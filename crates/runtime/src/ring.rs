@@ -1,11 +1,11 @@
 //! Lock-free ring transport: the fast path under the frame channel.
 //!
 //! A chain pipeline's data edges are single-producer/single-consumer by
-//! construction — driver→node₀, nodeᵢ→nodeᵢ₊₁, node→collector — so the
-//! generic `Mutex<VecDeque>` channel pays for a generality those edges
-//! never use: every frame handoff takes a lock, bounces the lock's cache
-//! line between the two cores, and wakes a condvar.  `Ring` replaces
-//! that hot path with a bounded lock-free ring buffer:
+//! construction — driver→node₀, nodeᵢ→nodeᵢ₊₁ — so the generic
+//! `Mutex<VecDeque>` channel pays for a generality those edges never use:
+//! every frame handoff takes a lock, bounces the lock's cache line between
+//! the two cores, and wakes a condvar.  `Ring` replaces that hot path with
+//! a bounded lock-free ring buffer:
 //!
 //! * **Cache-line-padded cursors.**  The producer cursor (`tail`) and the
 //!   consumer cursor (`head`) live on separate 64-byte lines so a push

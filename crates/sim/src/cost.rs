@@ -11,8 +11,20 @@
 //! windows saturates at a few thousand tuples per second per stream, the
 //! operating point reported in Figure 17 of the paper.
 
+use llhj_core::time::Timestamp;
+
 /// Virtual time in nanoseconds.
 pub type SimNanos = u64;
+
+/// Converts a stream timestamp to virtual nanoseconds.
+pub(crate) fn ts_to_ns(ts: Timestamp) -> SimNanos {
+    ts.as_micros().saturating_mul(1_000)
+}
+
+/// Converts virtual nanoseconds to a stream timestamp (microsecond floor).
+pub(crate) fn ns_to_ts(ns: SimNanos) -> Timestamp {
+    Timestamp::from_micros(ns / 1_000)
+}
 
 /// Cost model parameters (all in nanoseconds).
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,4 +1,9 @@
-//! Discrete-event simulation of elastic node-chain scaling.
+//! The simulator's chain driver and event loop, with elastic node-chain
+//! scaling.
+//!
+//! `ElasticSim` is the simulator's one event loop and
+//! `run_elastic_driver` its one driver: a fixed-width simulation
+//! ([`crate::run_simulation`]) is an elastic one with an empty plan.
 //!
 //! Mirrors the threaded runtime's reconfiguration protocol
 //! (`llhj-runtime::elastic`) in virtual time so the three substrates —
@@ -24,7 +29,7 @@
 //! after a reconfiguration pause.
 
 use crate::config::{Algorithm, SimConfig};
-use crate::cost::SimNanos;
+use crate::cost::{ns_to_ts, ts_to_ns, SimNanos};
 use crate::report::SimReport;
 use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
 use llhj_core::homing::HomePolicy;
@@ -45,14 +50,6 @@ use llhj_core::time::{TimeDelta, Timestamp};
 use llhj_sync::sync::Arc;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-fn ts_to_ns(ts: Timestamp) -> SimNanos {
-    ts.as_micros().saturating_mul(1_000)
-}
-
-fn ns_to_ts(ns: SimNanos) -> Timestamp {
-    Timestamp::from_micros(ns / 1_000)
-}
 
 /// One reconfiguration in the elastic simulation's log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -684,9 +681,8 @@ where
 /// `Plan` is a pre-computed list of `(after_events, target_nodes)` steps;
 /// `Auto` is the deterministic mirror of the runtime's auto-scale
 /// controller, sampling at stream-time boundaries.  Both steer the *same*
-/// driver loop ([`run_elastic_driver`]) — the sim-side twin of the
-/// runtime's shared `exec` machinery, so the two replay paths cannot
-/// drift either.
+/// driver loop ([`run_elastic_driver`]), which is also what a fixed-width
+/// run executes (an empty `Plan`), so no replay path can drift.
 enum Steering<'a> {
     Plan(std::iter::Peekable<std::vec::IntoIter<(usize, usize)>>),
     Auto {
@@ -927,8 +923,8 @@ where
 /// `plan` is a list of `(after_events, target_nodes)` pairs: after that
 /// many schedule events have been injected, the pipeline is fenced,
 /// migrated and resized — the virtual-time mirror of
-/// `llhj-runtime`'s `run_elastic_pipeline`.  Only the LLHJ algorithms
-/// support migration.
+/// `llhj-runtime`'s `run_elastic_pipeline`.  An empty plan is a
+/// fixed-width run ([`crate::run_simulation`]).
 pub fn run_elastic_simulation<R, S, P, H>(
     config: &SimConfig,
     predicate: P,

@@ -7,10 +7,13 @@
 //! calibrated [`CostModel`]:
 //!
 //! * [`engine::run_simulation`] — exact event-driven simulation (real
-//!   predicate evaluations, used for correctness and latency experiments);
-//! * [`elastic::run_elastic_simulation`] — the same engine with mid-run
+//!   predicate evaluations, used for correctness and latency experiments)
+//!   of a fixed-width chain;
+//! * [`elastic::run_elastic_simulation`] — the same run with mid-run
 //!   grow/shrink reconfigurations, mirroring the threaded runtime's
-//!   fence-and-handoff protocol in virtual time;
+//!   fence-and-handoff protocol in virtual time.  It is the simulator's
+//!   one driver and event loop: `run_simulation` is this with an empty
+//!   plan;
 //! * [`throughput::max_sustainable_rate`] — binary search for the maximum
 //!   sustainable input rate, the methodology behind Figure 17;
 //! * [`model::AnalyticModel`] — closed-form utilization model used to

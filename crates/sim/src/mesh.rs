@@ -19,7 +19,7 @@
 //! here, in the threaded mesh, and in the single-chain Kang oracle.
 
 use crate::config::SimConfig;
-use crate::cost::SimNanos;
+use crate::cost::{ts_to_ns, SimNanos};
 use crate::elastic::{node_factory, ElasticSim, SimCheckpoint, SimCheckpointEvent};
 use crate::throughput::{ThroughputResult, ThroughputSearch};
 use llhj_core::driver::{DriverSchedule, Injector, StreamEvent};
@@ -31,10 +31,6 @@ use llhj_core::result::TimedResult;
 use llhj_core::shard::{merge_punctuated_streams, MeshPlan, RouteMode, ShardRouter};
 use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
-
-fn ts_to_ns(ts: Timestamp) -> SimNanos {
-    ts.as_micros().saturating_mul(1_000)
-}
 
 /// One completed mesh reshaping in the simulation's log.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -193,18 +193,14 @@ fn ring_transport_survives_grow_and_shrink_mid_run() {
 /// The arena satellite: with buffers flowing back upstream, a run that
 /// injects hundreds of frames allocates only a bounded handful of batch
 /// buffers — steady state runs out of the recycled pool, not the
-/// allocator.
+/// allocator.  Covered on a fixed chain and on an elastic chain that grows
+/// and shrinks mid-run, whose fences rebuild the circulation for the new
+/// chain ends.
 #[test]
 fn frame_arenas_bound_steady_state_allocations() {
     let pred = BandPredicate::default();
     let schedule = band_schedule(0xA110C);
-    // Recycling throughput is scheduling-dependent: on a host saturated
-    // by the rest of the suite the flow-back rings lag and the driver
-    // allocates fresh buffers it would normally reuse.  One clean
-    // attempt out of three proves the mechanism; a regression to
-    // allocate-per-frame fails all three by 4x.
-    let mut last = (0u64, 0u64);
-    for attempt in 0..3 {
+    assert_arenas_recycle(|| {
         let outcome = run_pipeline(
             llhj_nodes(3, pred),
             pred,
@@ -212,19 +208,60 @@ fn frame_arenas_bound_steady_state_allocations() {
             &schedule,
             &options(Transport::Ring, 1),
         );
+        (outcome.batch_allocs, outcome.frames_injected)
+    });
+
+    let events = schedule.events().len();
+    let plan = ScalePlan::new(vec![
+        ScaleStep {
+            after_events: events / 3,
+            target_nodes: 4,
+        },
+        ScaleStep {
+            after_events: events * 2 / 3,
+            target_nodes: 2,
+        },
+    ]);
+    assert_arenas_recycle(|| {
+        let outcome = run_elastic_pipeline(
+            3,
+            llhj_factory(pred),
+            pred,
+            RoundRobin,
+            &schedule,
+            &plan,
+            &options(Transport::Ring, 1),
+        );
+        assert_eq!(outcome.resize_log.len(), 2, "both resizes must have run");
+        (outcome.batch_allocs, outcome.frames_injected)
+    });
+}
+
+/// Runs `run` (returning `(batch_allocs, frames_injected)`) until one
+/// attempt of three allocates fewer than a quarter as many buffers as it
+/// injects frames.
+fn assert_arenas_recycle(run: impl Fn() -> (u64, u64)) {
+    // Recycling throughput is scheduling-dependent: on a host saturated
+    // by the rest of the suite the flow-back rings lag and the driver
+    // allocates fresh buffers it would normally reuse.  One clean
+    // attempt out of three proves the mechanism; a regression to
+    // allocate-per-frame fails all three by 4x.
+    let mut last = (0u64, 0u64);
+    for attempt in 0..3 {
+        let (batch_allocs, frames_injected) = run();
         assert!(
-            outcome.frames_injected > 100,
+            frames_injected > 100,
             "workload too small to exercise recycling: {} frames",
-            outcome.frames_injected
+            frames_injected
         );
         // Warm-up fills the per-worker pools and the flow-back rings;
         // after that every entry frame reuses a recycled buffer.  The
         // bound is deliberately generous (a quarter of the frames) —
         // the honest claim is "bounded, not proportional".
-        if outcome.batch_allocs * 4 < outcome.frames_injected {
+        if batch_allocs * 4 < frames_injected {
             return;
         }
-        last = (outcome.batch_allocs, outcome.frames_injected);
+        last = (batch_allocs, frames_injected);
         eprintln!(
             "attempt {attempt}: {} fresh allocations for {} frames (loaded host?), retrying",
             last.0, last.1
