@@ -231,6 +231,19 @@ where
         let home = self.policy.assign(tuple.seq, key, self.nodes);
         RightToLeft::ArrivalS(PipelineTuple::fresh(tuple, home))
     }
+
+    /// Re-aims a wrapped R arrival that has not entered the pipeline yet at
+    /// its home in this injector's width (after the chain was resized).
+    pub fn rehome_r(&self, tuple: &mut PipelineTuple<R>) {
+        let key = self.predicate.r_key(&tuple.tuple.payload);
+        tuple.home = self.policy.assign(tuple.tuple.seq, key, self.nodes);
+    }
+
+    /// [`Injector::rehome_r`] for an S arrival.
+    pub fn rehome_s(&self, tuple: &mut PipelineTuple<S>) {
+        let key = self.predicate.s_key(&tuple.tuple.payload);
+        tuple.home = self.policy.assign(tuple.tuple.seq, key, self.nodes);
+    }
 }
 
 #[cfg(test)]

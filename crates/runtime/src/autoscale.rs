@@ -78,9 +78,9 @@ struct ControllerShared {
 pub(crate) struct Controller {
     shared: Arc<ControllerShared>,
     handle: JoinHandle<AutoscaleReport>,
-    /// The wall-clock sampling period; the driver slices its pacing waits
-    /// at this granularity so a desired width published on a silent
-    /// stream is actuated on the next tick instead of the next event.
+    /// The wall-clock sampling period; the driver slices its departure
+    /// waits at this granularity so a desired width published on a silent
+    /// stream is actuated on the next tick instead of the next frame.
     tick: Duration,
 }
 

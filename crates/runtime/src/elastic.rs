@@ -21,9 +21,10 @@
 //!
 //! Every resize runs the same three-phase protocol:
 //!
-//! 1. **Fence.**  The driver flushes its partial entry frames and stops
-//!    injecting, then waits for the global in-flight frame counter to reach
-//!    zero.  Because every emitted frame (forwards, acknowledgements,
+//! 1. **Fence.**  The driver stops injecting, then waits for the global
+//!    in-flight frame counter to reach zero.  Entry frames queued ahead of
+//!    their departure stay queued; they enter the resized chain when they
+//!    depart, their arrivals re-aimed at homes in the new width.  Because every emitted frame (forwards, acknowledgements,
 //!    expedition ends, expiries) is counted, a zero counter means the chain
 //!    is *quiescent*: no message anywhere.  For low-latency handshake join
 //!    quiescence implies settled state — all expedition flags cleared, all
@@ -66,11 +67,13 @@
 //! [`crate::autoscale`] controller automates the chain-length half.
 
 use crate::autoscale::{AutoscaleOptions, Controller};
-use crate::channel::{bounded, spsc_bounded, spsc_unbounded, unbounded, Receiver, Sender, WaitSet};
+use crate::channel::{
+    bounded, spsc_bounded, spsc_unbounded, unbounded, CancelToken, Receiver, Sender, WaitSet,
+};
 use crate::exec::{
-    spawn_collector, ArenaLegs, CensusReport, ChainArena, CollectorConfig, CoreMap, EntryState,
-    InFlight, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle, WorkerShared,
-    WorkerWiring,
+    spawn_collector, ArenaLegs, CensusReport, ChainArena, CollectorConfig, CoreMap, Entry,
+    EntryState, InFlight, ScaleConfirm, StreamClock, Worker, WorkerCommand, WorkerHandle,
+    WorkerShared, WorkerWiring,
 };
 use crate::metrics::MetricsBus;
 use crate::options::{Pacing, PipelineOptions, Transport};
@@ -368,9 +371,15 @@ where
     retired_idle_wakeups: u64,
     retired_batch_allocs: u64,
     migration_stall: Option<Duration>,
+    /// Arrivals queued so far per stream (the last one of a schedule
+    /// flushes its frame at once).
     seen_r: usize,
     seen_s: usize,
+    cancel: CancelToken,
     cancelled: bool,
+    /// The auto-scaler while [`ElasticPipeline::run_schedule_autoscaled`]
+    /// runs; the departure wait actuates it.
+    controller: Option<Controller>,
     /// Core placement for worker/collector threads; `None` when pinning is
     /// off or unavailable.  The elastic driver itself stays unpinned: it
     /// is the caller's thread, and resizes change its working set anyway.
@@ -401,19 +410,22 @@ where
         let nodes = (0..initial_nodes)
             .map(|k| factory(k, initial_nodes))
             .collect();
-        Self::with_nodes(nodes, factory, predicate, policy, options)
+        let clock = Arc::new(StreamClock::new(options.pacing));
+        Self::with_nodes(nodes, factory, predicate, policy, options, clock)
     }
 
     /// Deploys the already-built `nodes` (one per chain position, in
-    /// order); `factory` builds the nodes later grows add.  The stream
-    /// clock starts only once the nodes exist, so however long building
-    /// them took, it is not charged to the first results' latency.
+    /// order) on the stream `clock`; `factory` builds the nodes later
+    /// grows add.  Callers start the clock only once the nodes exist, so
+    /// however long building them took, it is not charged to the first
+    /// results' latency.
     pub(crate) fn with_nodes(
         nodes: Vec<Box<dyn PipelineNode<R, S>>>,
         factory: NodeFactory<R, S>,
         predicate: P,
         policy: H,
         options: PipelineOptions,
+        clock: Arc<StreamClock>,
     ) -> Self {
         assert!(!nodes.is_empty(), "pipeline needs at least one node");
         options
@@ -424,7 +436,6 @@ where
         let migratable = nodes.iter().all(|node| node.supports_migration());
 
         let in_flight = Arc::new(InFlight::new());
-        let clock = Arc::new(StreamClock::new(options.pacing));
         let stop = Arc::new(AtomicBool::new(false));
         let stop_signal = WaitSet::new();
         let hwm = HighWaterMarks::new();
@@ -492,7 +503,9 @@ where
             migration_stall: None,
             seen_r: 0,
             seen_s: 0,
+            cancel: options.cancel.clone().unwrap_or_default(),
             cancelled: false,
+            controller: None,
             core_map,
             next_pin_slot: 0,
             options,
@@ -651,14 +664,80 @@ where
         node
     }
 
-    // -- driver-side entry batching -------------------------------------
+    // -- the paced driver ------------------------------------------------
 
-    fn flush_both(&mut self) {
-        self.entry.flush_both(&self.in_flight);
+    /// The driver's one paced send path: holds `side`'s pending entry frame
+    /// until stream time `departure`, then sends it.  A frame whose
+    /// departure the run does not reach before a cancel is dropped unsent.
+    fn depart(&mut self, side: Entry, departure: Timestamp) {
+        if self.hold_until(departure) {
+            self.entry.send(side, &self.in_flight, &self.metrics);
+        } else {
+            self.entry.discard(side);
+        }
     }
 
-    /// Injects one driver event, applying `batch_size` / `flush_interval`
-    /// through the [`EntryState`] batchers.
+    /// Sends the pending frames `departures` lists, in order.
+    fn depart_all(&mut self, departures: [Option<(Timestamp, Entry)>; 2]) {
+        for (at, side) in departures.into_iter().flatten() {
+            self.depart(side, at);
+        }
+    }
+
+    /// Sends both directions' pending frames, each with its latest message.
+    fn flush_both(&mut self) {
+        self.depart_all(self.entry.departures(None));
+    }
+
+    /// The real-time wait before a departure at stream time `departure`.
+    /// Returns `false` if the run was cancelled before the departure came.
+    ///
+    /// Deadlines count from the stream clock's start instant, the same
+    /// origin the workers stamp results against, so a result's latency
+    /// never includes the time before the clock started.  The driver
+    /// queues events as soon as it reaches them and sleeps only here, once
+    /// per frame rather than once per event.
+    ///
+    /// With an auto-scaler attached the wait also *actuates* it: the wait
+    /// is sliced at the controller's sampling tick, and every slice
+    /// applies a newly published desired width through the usual fenced
+    /// protocol.  This is what makes the closed loop converge on a
+    /// *silent* stream — a desired resize published during an arrival gap
+    /// lands on the next tick instead of waiting for traffic to resume (a
+    /// resize keeps the undeparted entry frames, and fencing an idle chain
+    /// is nearly free: there is nothing in flight to drain).
+    fn hold_until(&mut self, departure: Timestamp) -> bool {
+        if !matches!(self.options.pacing, Pacing::RealTime { .. }) {
+            return true;
+        }
+        let deadline = self.clock.start()
+            + self
+                .options
+                .stream_to_wall(departure.saturating_since(Timestamp::ZERO));
+        loop {
+            let mut tick = None;
+            if let Some(controller) = &self.controller {
+                tick = Some(controller.tick().max(Duration::from_micros(50)));
+                if let Some(width) = controller.desired_if_changed(self.nodes()) {
+                    self.scale_to(width);
+                }
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return true;
+            }
+            let wake = tick.map_or(deadline, |tick| deadline.min(now + tick));
+            if self.cancel.wait_until(wake) {
+                self.cancelled = true;
+                return false;
+            }
+        }
+    }
+
+    /// Queues one driver event, applying `batch_size` / `flush_interval`
+    /// through the [`EntryState`] batchers.  Every flush decision uses the
+    /// event's stream time, so frame boundaries are a pure function of the
+    /// schedule: paced or not, the same frames leave.
     fn inject(
         &mut self,
         event: &llhj_core::driver::DriverEvent<R, S>,
@@ -667,155 +746,88 @@ where
     ) {
         self.clock.note_injection(event.at);
         if let Some(interval) = self.options.flush_interval {
-            self.entry
-                .flush_older_than(event.at, interval, &self.in_flight);
+            self.depart_all(self.entry.departures(Some((event.at, interval))));
         }
-        let entry = &mut self.entry;
         match &event.event {
             StreamEvent::ArrivalR(r) => {
-                entry
-                    .left
-                    .push_arrival(self.injector.inject_r(r.clone()), event.at);
-                self.metrics.note_arrival();
+                let msg = self.injector.inject_r(r.clone());
+                self.entry.left.push_arrival(msg, event.at);
                 self.seen_r += 1;
-                if entry.left.arrivals >= self.options.batch_size || self.seen_r == schedule_r {
-                    entry
-                        .left
-                        .flush(&self.in_flight, &mut entry.frames_injected);
+                if self.entry.left.arrivals >= self.options.batch_size || self.seen_r == schedule_r
+                {
+                    self.depart(Entry::Left, event.at);
                 }
             }
             StreamEvent::ExpireS(seq) => {
                 // An expiry must never overtake its own arrival: if the
                 // arrival is still parked in the opposite entry buffer
                 // (possible on a sparse mesh shard whose partial frames
-                // outwait the window), flush it ahead of the expiry and
-                // let it settle at its home node before the expiry even
+                // outwait the window), send it ahead of the expiry and let
+                // it settle at its home node before the expiry even
                 // enters — the two travel in opposite directions on
                 // different channels, so only this driver-side barrier
                 // orders them.
-                if entry
+                if self
+                    .entry
                     .right
                     .holds_pending(|m| matches!(m, RightToLeft::ArrivalS(t) if t.tuple.seq == *seq))
                 {
-                    entry
-                        .right
-                        .flush(&self.in_flight, &mut entry.frames_injected);
+                    let due = self.entry.right.due().expect("a pending arrival");
+                    self.depart(Entry::Right, due);
                     self.in_flight.wait_for_quiescence();
                 }
-                entry.left.push(LeftToRight::ExpiryS(*seq), event.at);
+                self.entry.left.push(LeftToRight::ExpiryS(*seq), event.at);
             }
             StreamEvent::ArrivalS(s) => {
-                entry
-                    .right
-                    .push_arrival(self.injector.inject_s(s.clone()), event.at);
-                self.metrics.note_arrival();
+                let msg = self.injector.inject_s(s.clone());
+                self.entry.right.push_arrival(msg, event.at);
                 self.seen_s += 1;
-                if entry.right.arrivals >= self.options.batch_size || self.seen_s == schedule_s {
-                    entry
-                        .right
-                        .flush(&self.in_flight, &mut entry.frames_injected);
+                if self.entry.right.arrivals >= self.options.batch_size || self.seen_s == schedule_s
+                {
+                    self.depart(Entry::Right, event.at);
                 }
             }
             StreamEvent::ExpireR(seq) => {
-                if entry
+                if self
+                    .entry
                     .left
                     .holds_pending(|m| matches!(m, LeftToRight::ArrivalR(t) if t.tuple.seq == *seq))
                 {
-                    entry
-                        .left
-                        .flush(&self.in_flight, &mut entry.frames_injected);
+                    let due = self.entry.left.due().expect("a pending arrival");
+                    self.depart(Entry::Left, due);
                     self.in_flight.wait_for_quiescence();
                 }
-                entry.right.push(RightToLeft::ExpiryR(*seq), event.at);
+                self.entry.right.push(RightToLeft::ExpiryR(*seq), event.at);
             }
         }
     }
 
-    /// Real-time pacing wait before injecting an event scheduled at `at`.
-    /// Returns `true` if the wait was cancelled.
-    ///
-    /// Deadlines count from the stream clock's start instant, the same
-    /// origin the workers stamp results against, so a result's latency
-    /// never includes the time before the clock started.
-    ///
-    /// With a `flush_interval` configured the wait is sliced at half the
-    /// interval of wall time and flushes aged partial entry frames on
-    /// every slice — the driver owns its entry buffers, so a stream that
-    /// goes silent mid-run still cannot hold an assembled frame beyond
-    /// the interval.
-    ///
-    /// With a `controller` attached the wait also *actuates* the
-    /// auto-scaler: the slice additionally caps at the controller's
-    /// sampling tick, and every slice applies a newly published desired
-    /// width through the usual fenced protocol.  This is what makes the
-    /// closed loop converge on a *silent* stream — a desired resize
-    /// published during an arrival gap lands on the next tick instead of
-    /// waiting for traffic to resume (fencing an idle chain is nearly
-    /// free: there is nothing in flight to drain).
-    fn pace_until(
+    /// The one replay loop behind every driver entry point: queues
+    /// `events` in order, fires `plan`'s resizes at their event indexes and
+    /// calls `consumed(self, n, event)` after the `n`-th event was queued,
+    /// stopping early on a cancel.  `totals` are the schedule's R/S arrival
+    /// counts (the last arrival of a stream flushes its frame at once).
+    fn replay(
         &mut self,
-        at: Timestamp,
-        cancel: &crate::channel::CancelToken,
-        controller: Option<&Controller>,
+        events: &[llhj_core::driver::DriverEvent<R, S>],
+        totals: (usize, usize),
+        plan: &ScalePlan,
+        mut consumed: impl FnMut(&mut Self, usize, &llhj_core::driver::DriverEvent<R, S>),
     ) -> bool {
-        if !matches!(self.options.pacing, Pacing::RealTime { .. }) {
-            return false;
-        }
-        let target = self
-            .options
-            .stream_to_wall(at.saturating_since(Timestamp::ZERO));
-        let deadline = self.clock.start() + target;
-        let floor = Duration::from_micros(50);
-        let flush_slice = self
-            .options
-            .flush_interval
-            .map(|i| (self.options.stream_to_wall(i) / 2).max(floor));
-        let tick_slice = controller.map(|c| c.tick().max(floor));
-        let slice = match (flush_slice, tick_slice) {
-            (Some(f), Some(t)) => Some(f.min(t)),
-            (s, None) | (None, s) => s,
-        };
-        loop {
-            if let Some(controller) = controller {
-                if let Some(width) = controller.desired_if_changed(self.nodes()) {
-                    self.scale_to(width);
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let wake = match slice {
-                Some(slice) => deadline.min(now + slice),
-                None => deadline,
-            };
-            if cancel.wait_until(wake) {
-                return true;
-            }
-            if let Some(interval) = self.options.flush_interval {
-                let now_ts = self.clock.now();
-                self.entry
-                    .flush_older_than(now_ts, interval, &self.in_flight);
-            }
-        }
-    }
-
-    /// Replays a driver schedule against the live pipeline, firing the
-    /// plan's resizes at their event indexes.  Returns `true` if the
-    /// replay was cancelled.  Call once per pipeline; then [`Self::finish`].
-    pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &ScalePlan) -> bool {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
         let mut steps = plan.steps().iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
+        for (idx, event) in events.iter().enumerate() {
             while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                let target = step.target_nodes;
-                self.scale_to(target);
+                self.scale_to(step.target_nodes);
             }
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
+            self.cancelled |= self.cancel.is_cancelled();
+            if self.cancelled {
                 break;
             }
-            self.inject(event, schedule.r_count(), schedule.s_count());
+            self.inject(event, totals.0, totals.1);
+            if self.cancelled {
+                break;
+            }
+            consumed(self, idx + 1, event);
         }
         // Trailing resizes (plan points at or past the schedule end) still
         // run: a conformance sweep may place a resize on the very last
@@ -830,11 +842,19 @@ where
         self.cancelled
     }
 
+    /// Replays a driver schedule against the live pipeline, firing the
+    /// plan's resizes at their event indexes.  Returns `true` if the
+    /// replay was cancelled.  Call once per pipeline; then [`Self::finish`].
+    pub fn run_schedule(&mut self, schedule: &DriverSchedule<R, S>, plan: &ScalePlan) -> bool {
+        let totals = (schedule.r_count(), schedule.s_count());
+        self.replay(schedule.events(), totals, plan, |_, _, _| {})
+    }
+
     /// Replays a driver schedule with the **closed loop** engaged: an
     /// [`AutoscaleOptions`] controller thread samples the metrics bus and
     /// publishes a desired width; the driver applies it through the same
-    /// fence+handoff protocol a [`ScalePlan`] uses — before every event,
-    /// *and* on every controller tick inside an arrival gap (the pacing
+    /// fence+handoff protocol a [`ScalePlan`] uses — on every departure,
+    /// *and* on every controller tick inside an arrival gap (the departure
     /// wait actuates), so the width converges while the stream is idle
     /// too.  Returns the controller's report (every sample and resize
     /// decision).
@@ -852,31 +872,42 @@ where
             "autoscaling requires Pacing::RealTime (the controller chases \
              a wall-clock arrival rate)"
         );
-        let controller = Controller::spawn(
+        self.controller = Some(Controller::spawn(
             autoscale,
             &self.options,
             self.metrics_bus(),
             self.stream_clock(),
-        );
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        for event in schedule.events() {
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, Some(&controller)) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject(event, schedule.r_count(), schedule.s_count());
-        }
-        self.flush_both();
-        controller.finish()
+        ));
+        self.run_schedule(schedule, &ScalePlan::none());
+        self.controller
+            .take()
+            .expect("the controller runs until the replay ends")
+            .finish()
     }
 
     // -- the reconfiguration protocol ------------------------------------
 
-    /// Fences the pipeline: flushes partial entry frames, then waits until
-    /// no frame is in flight anywhere in the chain.
+    /// Fences the pipeline: sends the partial entry frames (each at its
+    /// departure time), then waits until no frame is in flight anywhere in
+    /// the chain.
     fn fence(&mut self) {
         self.flush_both();
         self.in_flight.wait_for_quiescence();
+    }
+
+    /// Re-aims the arrivals still queued in the entry frames at their homes
+    /// in the current width (they were wrapped before a resize).
+    fn rehome_pending(&mut self) {
+        for msg in self.entry.left.pending_mut() {
+            if let LeftToRight::ArrivalR(tuple) = msg {
+                self.injector.rehome_r(tuple);
+            }
+        }
+        for msg in self.entry.right.pending_mut() {
+            if let RightToLeft::ArrivalS(tuple) = msg {
+                self.injector.rehome_s(tuple);
+            }
+        }
     }
 
     fn confirm(&self, done_rx: &Receiver<ScaleConfirm>, expected: usize, what: &str) -> usize {
@@ -1338,25 +1369,30 @@ where
     /// the mesh protocol), so a checkpoint is observationally a fence.
     /// The punctuation high-water marks are read inside the same fence —
     /// with no frame in flight they are exact, not racing advances.
+    /// Returns `None` if a cancel dropped queued frames during the fence:
+    /// the chain then lacks some of the `events_consumed` events.
     pub(crate) fn capture_checkpoint(
         &mut self,
         epoch: u64,
         shards: u32,
         events_consumed: u64,
-    ) -> ChainCheckpoint<R, S> {
+    ) -> Option<ChainCheckpoint<R, S>> {
         self.fence();
+        if self.cancelled {
+            return None;
+        }
         let segments = self.export_all_segments();
         for (k, segment) in segments.iter().enumerate() {
             self.install_segment(k, segment.clone());
         }
-        ChainCheckpoint {
+        Some(ChainCheckpoint {
             epoch,
             events_consumed,
             shards,
             hwm_r: self.hwm.r(),
             hwm_s: self.hwm.s(),
             segments,
-        }
+        })
     }
 
     /// Restores a checkpoint into the (idle, freshly built) chain: installs
@@ -1378,19 +1414,16 @@ where
     /// Replays recovered driver events (paced exactly like a schedule
     /// replay) until exhausted or cancelled.
     pub(crate) fn replay_events(&mut self, events: &[llhj_core::driver::DriverEvent<R, S>]) {
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        for event in events {
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
-                break;
-            }
-            self.inject_routed(event);
-        }
-        self.flush_both();
+        self.replay(
+            events,
+            (usize::MAX, usize::MAX),
+            &ScalePlan::none(),
+            |_, _, _| {},
+        );
     }
 
     /// [`ElasticPipeline::run_schedule`] with durability: every consumed
-    /// event is recorded into a bounded [`ReplayLog`] before injection,
+    /// event is recorded into a bounded [`ReplayLog`] once queued,
     /// and every `every_events` events the driver takes a fenced
     /// checkpoint, persists it and trims the log.  Returns the cancel flag
     /// plus the replay log — together with the store, everything a
@@ -1404,36 +1437,20 @@ where
         let mut checkpointer: ChainCheckpointer<R, S> =
             ChainCheckpointer::new(cfg.shard, cfg.full_interval);
         let mut log: ReplayLog<R, S> = ReplayLog::new(cfg.replay_capacity);
-        let cancel = self.options.cancel.clone().unwrap_or_default();
-        let mut steps = plan.steps().iter().peekable();
-        for (idx, event) in schedule.events().iter().enumerate() {
-            while let Some(step) = steps.next_if(|s| s.after_events <= idx) {
-                self.scale_to(step.target_nodes);
-            }
-            if cancel.is_cancelled() || self.pace_until(event.at, &cancel, None) {
-                self.cancelled = true;
-                break;
-            }
+        let totals = (schedule.r_count(), schedule.s_count());
+        self.replay(schedule.events(), totals, plan, |chain, consumed, event| {
             log.record(event.clone());
-            self.inject(event, schedule.r_count(), schedule.s_count());
-            let consumed = idx + 1;
             if consumed.is_multiple_of(cfg.every_events) {
-                let ckpt = self.capture_checkpoint(0, 1, consumed as u64);
                 // A failed store write is not fatal to the run — the log
                 // simply is not trimmed, so recoverability degrades to the
                 // previous durable checkpoint instead of silently lying.
-                if checkpointer.append(cfg.store.as_ref(), ckpt).is_ok() {
-                    log.trim_to(consumed);
+                if let Some(ckpt) = chain.capture_checkpoint(0, 1, consumed as u64) {
+                    if checkpointer.append(cfg.store.as_ref(), ckpt).is_ok() {
+                        log.trim_to(consumed);
+                    }
                 }
             }
-        }
-        if !self.cancelled {
-            let remaining: Vec<ScaleStep> = steps.copied().collect();
-            for step in remaining {
-                self.scale_to(step.target_nodes);
-            }
-        }
-        self.flush_both();
+        });
         (self.cancelled, log)
     }
 }
@@ -1519,7 +1536,11 @@ where
             "elastic pipelines require nodes that support state migration"
         );
         let wall_start = Instant::now();
-        self.fence();
+        // The resize fence drains the chain but keeps the driver's
+        // undeparted entry frames: they were queued ahead of their due
+        // time, enter the resized chain when they depart, and are re-aimed
+        // at homes in the new width below.
+        self.in_flight.wait_for_quiescence();
         let migrated = if target < current {
             self.shrink_to(target)
         } else {
@@ -1532,6 +1553,7 @@ where
         // instead of after a window turnover.
         let (rebalanced, residence_after) = self.rebalance();
         self.injector = Injector::new(self.predicate.clone(), self.policy.clone(), target);
+        self.rehome_pending();
         self.metrics.set_nodes(target);
         self.register_occupancy_probe();
         self.resize_log.push(ResizeEvent {
@@ -1591,7 +1613,7 @@ where
             latency_series: collected.series.finish(),
             elapsed: self.clock.start().elapsed(),
             punctuation_count: collected.punctuation_count,
-            arrivals_per_stream: (self.seen_r, self.seen_s),
+            arrivals_per_stream: (self.entry.left.departed, self.entry.right.departed),
             frames_injected: self.entry.frames_injected,
             batch_allocs,
             idle_wakeups,
@@ -1822,6 +1844,92 @@ mod tests {
             "the pair waited {latency}: the 50 ms spent building the node \
              was charged to it"
         );
+    }
+
+    /// Frame boundaries are a pure function of the schedule: every flush
+    /// decision uses stream timestamps, and the paced driver only holds a
+    /// frame until its departure, so a paced and an unpaced replay cut
+    /// exactly the same frames (a wall-clock flush timer would cut them
+    /// wherever its wake-ups happened to land).
+    #[test]
+    fn paced_and_unpaced_replays_cut_the_same_frames() {
+        // Irregular arrivals on both streams, so both the 5 ms age flush
+        // and the 64-tuple count fill decide frames.
+        let r: Vec<_> = (0..1_200u64)
+            .map(|i| {
+                (
+                    Timestamp::from_micros(i * 700 + (i % 7) * 90),
+                    (i % 13) as u32,
+                )
+            })
+            .collect();
+        let s: Vec<_> = (0..700u64)
+            .map(|i| (Timestamp::from_micros(i * 1_300), (i % 17) as u32))
+            .collect();
+        let w = WindowSpec::Time(TimeDelta::from_millis(50));
+        let sched = DriverSchedule::build(r, s, w, w);
+        let run = |pacing| {
+            let opts = PipelineOptions {
+                batch_size: 64,
+                flush_interval: Some(TimeDelta::from_millis(5)),
+                pacing,
+                ..Default::default()
+            };
+            let outcome = run_elastic_pipeline(
+                2,
+                llhj_factory(eq_pred()),
+                eq_pred(),
+                RoundRobin,
+                &sched,
+                &ScalePlan::none(),
+                &opts,
+            );
+            assert_eq!(outcome.arrivals_per_stream, (1_200, 700));
+            outcome.frames_injected
+        };
+        let unpaced = run(Pacing::Unpaced);
+        let paced = run(Pacing::RealTime { speedup: 1.0 });
+        assert_eq!(
+            paced, unpaced,
+            "the paced replay must cut the frames the schedule defines"
+        );
+    }
+
+    /// No frame leaves before its contents are due: the driver queues the
+    /// S arrival 200 ms early, but the frame carrying it departs only at
+    /// its due time, so the raw detection timestamp of the pair is never
+    /// earlier than the later input (`latency()` would clamp that away).
+    #[test]
+    fn sparse_paced_departures_are_never_early() {
+        let sched = DriverSchedule::build(
+            vec![(Timestamp::ZERO, 7u32)],
+            vec![(Timestamp::from_millis(200), 7u32)],
+            WindowSpec::time_secs(1),
+            WindowSpec::time_secs(1),
+        );
+        let opts = PipelineOptions {
+            batch_size: 64,
+            flush_interval: Some(TimeDelta::from_secs(1)),
+            ..paced_opts(64)
+        };
+        let outcome = run_elastic_pipeline(
+            2,
+            llhj_factory(eq_pred()),
+            eq_pred(),
+            RoundRobin,
+            &sched,
+            &ScalePlan::none(),
+            &opts,
+        );
+        assert_eq!(outcome.result_keys(), vec![(SeqNo(0), SeqNo(0))]);
+        for result in &outcome.results {
+            assert!(
+                result.detected_at >= result.result.ts(),
+                "detected at {:?}, before its later input was due at {:?}",
+                result.detected_at,
+                result.result.ts()
+            );
+        }
     }
 
     #[test]

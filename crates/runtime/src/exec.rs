@@ -16,7 +16,9 @@
 //!   surplus legs between neighbours.  Rebuilt on every resize.
 //! * [`EntryBatcher`] / [`EntryState`] — the driver's entry-frame assembly
 //!   for one direction / both directions: `batch_size` arrivals per frame,
-//!   expiries riding along, `flush_interval` aging.
+//!   expiries riding along, `flush_interval` aging, and each pending
+//!   frame's departure time (the driver's paced send path holds a frame
+//!   until then).
 //! * [`spawn_collector`] — the collector thread: reads the high-water
 //!   marks *before* vacuuming (Section 6.1.3 step 1), drains the result
 //!   queue, emits punctuations, and feeds the metrics bus's latency EWMA.
@@ -163,9 +165,10 @@ pub(crate) fn unpin_thread() {
 /// The shared stream clock: maps wall-clock time to stream time.
 ///
 /// Its start instant is the run's single time origin: workers stamp
-/// results against it, and the paced driver schedules every injection
-/// relative to it ([`StreamClock::start`]), so a result's latency never
-/// includes time spent before the clock started.
+/// results against it, and the paced driver holds every entry frame until
+/// its departure relative to it ([`StreamClock::start`]), so a result's
+/// latency never includes time spent before the clock started.  A shard
+/// mesh shares one clock across all its chains, split children included.
 pub(crate) struct StreamClock {
     pacing: Pacing,
     start: Instant,
@@ -284,11 +287,18 @@ pub(crate) fn send_frame<R, S>(
 /// One direction's entry-frame assembly state in the driver: the pending
 /// messages, how many of them are arrivals (expiries ride along without
 /// counting towards `batch_size`), when the frame started filling (for
-/// the `flush_interval` timer), and the entry channel the frames leave on.
+/// the `flush_interval` age), the due time of its latest message, and the
+/// entry channel the frames leave on.
 pub(crate) struct EntryBatcher<M, R, S> {
     pending: Vec<M>,
     pub(crate) arrivals: usize,
     started_at: Option<Timestamp>,
+    /// Stream time of the latest pending message: the departure time of
+    /// every flush except the age flush.
+    due: Timestamp,
+    /// Arrivals this batcher has sent — the injected count, which falls
+    /// short of the pushed count only when a cancel dropped a frame.
+    pub(crate) departed: usize,
     tx: Sender<MessageBatch<R, S>>,
     wrap: fn(Vec<M>) -> MessageBatch<R, S>,
     /// Drained frame buffers flowing back from the direction's sink node
@@ -313,6 +323,8 @@ impl<M, R, S> EntryBatcher<M, R, S> {
             pending: Vec::new(),
             arrivals: 0,
             started_at: None,
+            due: Timestamp::ZERO,
+            departed: 0,
             tx,
             wrap,
             recycle,
@@ -345,11 +357,12 @@ impl<M, R, S> EntryBatcher<M, R, S> {
         Vec::new()
     }
 
-    /// Queues a control message; it rides the next flush.
+    /// Queues a control message due at `at`; it rides the next flush.
     pub(crate) fn push(&mut self, msg: M, at: Timestamp) {
         if self.pending.is_empty() {
             self.started_at = Some(at);
         }
+        self.due = at;
         self.pending.push(msg);
     }
 
@@ -359,8 +372,15 @@ impl<M, R, S> EntryBatcher<M, R, S> {
         self.arrivals += 1;
     }
 
-    /// Sends the pending frame (if any) and resets the assembly state.
-    pub(crate) fn flush(&mut self, in_flight: &InFlight, frames_injected: &mut u64) {
+    /// Sends the pending frame (if any), counts its arrivals on the
+    /// metrics bus and resets the assembly state.  The caller has already
+    /// held the frame until its departure time.
+    pub(crate) fn flush(
+        &mut self,
+        in_flight: &InFlight,
+        metrics: &MetricsBus,
+        frames_injected: &mut u64,
+    ) {
         if self.pending.is_empty() {
             return;
         }
@@ -371,6 +391,16 @@ impl<M, R, S> EntryBatcher<M, R, S> {
             in_flight,
         );
         *frames_injected += 1;
+        metrics.note_arrivals(self.arrivals as u64);
+        self.departed += self.arrivals;
+        self.arrivals = 0;
+        self.started_at = None;
+    }
+
+    /// Drops the pending frame unsent (a cancelled run injects nothing
+    /// whose departure it did not reach).
+    pub(crate) fn discard(&mut self) {
+        self.pending.clear();
         self.arrivals = 0;
         self.started_at = None;
     }
@@ -385,29 +415,28 @@ impl<M, R, S> EntryBatcher<M, R, S> {
         self.pending.iter().any(pred)
     }
 
-    /// True if the frame has been filling for at least `interval` of
-    /// stream time.
-    pub(crate) fn is_older_than(
+    /// The pending messages, for re-aiming arrivals after a resize.
+    pub(crate) fn pending_mut(&mut self) -> &mut [M] {
+        &mut self.pending
+    }
+
+    /// Departure time of the pending frame when it leaves with its latest
+    /// message (count fill, last arrival, expiry barrier, fence); `None`
+    /// when nothing is pending.
+    pub(crate) fn due(&self) -> Option<Timestamp> {
+        self.started_at.map(|_| self.due)
+    }
+
+    /// Departure time of the age flush — `interval` after the frame
+    /// started filling — if stream time `now` has reached it.
+    pub(crate) fn aged_by(
         &self,
         now: Timestamp,
         interval: llhj_core::time::TimeDelta,
-    ) -> bool {
+    ) -> Option<Timestamp> {
         self.started_at
-            .is_some_and(|s| now.saturating_since(s) >= interval)
-    }
-
-    /// Flushes if the frame has been filling for at least `interval` of
-    /// stream time.
-    pub(crate) fn flush_if_older(
-        &mut self,
-        now: Timestamp,
-        interval: llhj_core::time::TimeDelta,
-        in_flight: &InFlight,
-        frames_injected: &mut u64,
-    ) {
-        if self.is_older_than(now, interval) {
-            self.flush(in_flight, frames_injected);
-        }
+            .map(|s| s.saturating_add(interval))
+            .filter(|&deadline| deadline <= now)
     }
 
     /// Replaces the entry channel (the elastic pipeline's right entry
@@ -422,9 +451,18 @@ impl<M, R, S> EntryBatcher<M, R, S> {
     }
 }
 
+/// One of the driver's two entry batchers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Entry {
+    /// The left entry: R arrivals and S expiries.
+    Left,
+    /// The right entry: S arrivals and R expiries.
+    Right,
+}
+
 /// The driver's entry-frame assembly state for both directions.  The
-/// driver owns it outright: its sliced pacing wait doubles as the
-/// `flush_interval` timer, so no other thread ever touches it.
+/// driver owns it outright — the paced driver holds each frame until its
+/// departure time itself, so no other thread ever touches it.
 pub(crate) struct EntryState<R, S> {
     pub(crate) left: EntryBatcher<LeftToRight<R>, R, S>,
     pub(crate) right: EntryBatcher<RightToLeft<S>, R, S>,
@@ -447,24 +485,48 @@ impl<R, S> EntryState<R, S> {
         }
     }
 
-    /// Flushes both directions' partial frames that have been filling for
-    /// at least `interval` of stream time.
-    pub(crate) fn flush_older_than(
-        &mut self,
-        now: Timestamp,
-        interval: llhj_core::time::TimeDelta,
-        in_flight: &InFlight,
-    ) {
-        self.left
-            .flush_if_older(now, interval, in_flight, &mut self.frames_injected);
-        self.right
-            .flush_if_older(now, interval, in_flight, &mut self.frames_injected);
+    /// Sends `side`'s pending frame (see [`EntryBatcher::flush`]).
+    pub(crate) fn send(&mut self, side: Entry, in_flight: &InFlight, metrics: &MetricsBus) {
+        match side {
+            Entry::Left => self
+                .left
+                .flush(in_flight, metrics, &mut self.frames_injected),
+            Entry::Right => self
+                .right
+                .flush(in_flight, metrics, &mut self.frames_injected),
+        }
     }
 
-    /// Flushes both directions unconditionally.
-    pub(crate) fn flush_both(&mut self, in_flight: &InFlight) {
-        self.left.flush(in_flight, &mut self.frames_injected);
-        self.right.flush(in_flight, &mut self.frames_injected);
+    /// Drops `side`'s pending frame unsent.
+    pub(crate) fn discard(&mut self, side: Entry) {
+        match side {
+            Entry::Left => self.left.discard(),
+            Entry::Right => self.right.discard(),
+        }
+    }
+
+    /// The frames a flush of both sides sends, as `(departure, side)` in
+    /// departure order (flatten the result): with `Some(interval)` only the
+    /// frames aged by stream time `now`, each departing at its age
+    /// deadline; with `None` every pending frame, each departing with its
+    /// latest message.
+    pub(crate) fn departures(
+        &self,
+        aged: Option<(Timestamp, llhj_core::time::TimeDelta)>,
+    ) -> [Option<(Timestamp, Entry)>; 2] {
+        let (left, right) = match aged {
+            Some((now, interval)) => (
+                self.left.aged_by(now, interval),
+                self.right.aged_by(now, interval),
+            ),
+            None => (self.left.due(), self.right.due()),
+        };
+        let mut out = [
+            left.map(|at| (at, Entry::Left)),
+            right.map(|at| (at, Entry::Right)),
+        ];
+        out.sort_unstable();
+        out
     }
 }
 

@@ -16,10 +16,12 @@
 //! Scheduling is *event-driven*: an idle worker parks on a per-worker
 //! [`channel::WaitSet`] registered with both of its input channels and is
 //! woken by the next frame on either input (or by shutdown) — there is no
-//! polling loop anywhere in the pipeline.  On paced runs with a
-//! `flush_interval`, the driver's pacing wait is sliced at half the
-//! interval and flushes aged partial entry frames on real time, so a
-//! stream that goes silent cannot hold results back.
+//! polling loop anywhere in the pipeline.  The paced driver sleeps once
+//! per entry frame, not once per event: it queues each event as soon as
+//! it reaches it and holds every frame until its departure time — the due
+//! time of its latest message, or `flush_interval` after it started
+//! filling for an age flush — so no frame leaves before its contents are
+//! due, and a stream that goes silent cannot hold results back.
 //!
 //! There is one chain driver, [`elastic::ElasticPipeline`];
 //! [`run_pipeline`] is that chain run with an empty scale plan (see
@@ -27,8 +29,9 @@
 //!
 //! Tuning: `batch_size` buys throughput (one channel operation per frame),
 //! `flush_interval` caps the latency that batching can add — set it near
-//! your latency budget and the batch size purely for throughput; the
-//! sliced pacing wait keeps the cap even across arrival gaps.
+//! your latency budget and the batch size purely for throughput; a
+//! frame's age deadline is its departure time, so the cap holds even
+//! across arrival gaps.
 //!
 //! ```no_run
 //! use llhj_core::prelude::*;

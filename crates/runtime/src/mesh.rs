@@ -41,6 +41,7 @@ use crate::channel::CancelToken;
 use crate::elastic::{
     CheckpointConfig, ElasticOutcome, ElasticPipeline, NodeFactory, ScalePipeline,
 };
+use crate::exec::StreamClock;
 use crate::options::PipelineOptions;
 use llhj_core::checkpoint::{
     load_latest_mesh, ChainCheckpointer, CheckpointError, CheckpointPayload, CheckpointStore,
@@ -48,12 +49,14 @@ use llhj_core::checkpoint::{
 };
 use llhj_core::driver::{DriverEvent, DriverSchedule};
 use llhj_core::homing::HomePolicy;
+use llhj_core::node::PipelineNode;
 use llhj_core::predicate::JoinPredicate;
 use llhj_core::punctuation::OutputItem;
 use llhj_core::result::TimedResult;
 use llhj_core::shard::{merge_punctuated_streams, MeshPlan, RouteMode, ShardRouter};
 use llhj_core::time::Timestamp;
 use llhj_core::tuple::SeqNo;
+use llhj_sync::sync::Arc;
 use llhj_sync::time::{Duration, Instant};
 
 /// One completed mesh reshaping, for the outcome's reshard log.
@@ -118,7 +121,9 @@ where
     /// join the final frontier merge.
     retired: Vec<ElasticOutcome<R, S>>,
     reshard_log: Vec<ReshardEvent>,
-    started: Instant,
+    /// The one stream clock every chain of the mesh stamps results
+    /// against and the mesh driver paces against.
+    clock: Arc<StreamClock>,
     migration_stall: Option<Duration>,
     cancelled: bool,
 }
@@ -148,34 +153,52 @@ where
             "co-partitioning requires a predicate with both equi-key extractors"
         );
         let router = ShardRouter::new(predicate.clone(), mode, shards);
-        let chains = (0..shards)
-            .map(|p| {
-                // Stagger each chain's core slots so two shards' workers do
-                // not stack on the same cores (a no-op unless `pin_cores`).
-                let mut chain_options = options.clone();
-                chain_options.pin_core_offset = options.pin_core_offset + p * (width + 1);
-                ElasticPipeline::new(
-                    width,
-                    factory.clone(),
-                    predicate.clone(),
-                    policy.clone(),
-                    chain_options,
-                )
-            })
+        // Every node of every initial chain exists before the one stream
+        // clock starts, so building them is charged to no result.
+        let nodes: Vec<Vec<_>> = (0..shards)
+            .map(|_| (0..width).map(|k| factory(k, width)).collect())
             .collect();
-        MeshPipeline {
+        let clock = Arc::new(StreamClock::new(options.pacing));
+        let mut mesh = MeshPipeline {
             router,
-            chains,
+            chains: Vec::with_capacity(shards),
             factory,
             predicate,
             policy,
             options,
             retired: Vec::new(),
             reshard_log: Vec::new(),
-            started: Instant::now(),
+            clock,
             migration_stall: None,
             cancelled: false,
+        };
+        for chain_nodes in nodes {
+            let chain = mesh.deploy_chain(chain_nodes);
+            mesh.chains.push(chain);
         }
+        mesh
+    }
+
+    /// Deploys one chain of `nodes` on the mesh's stream clock.  Each
+    /// chain's core slots are staggered past the existing chains', so two
+    /// shards' workers do not stack on the same cores (a no-op unless
+    /// `pin_cores`).
+    fn deploy_chain(&self, nodes: Vec<Box<dyn PipelineNode<R, S>>>) -> ElasticPipeline<R, S, P, H> {
+        let mut chain_options = self.options.clone();
+        chain_options.pin_core_offset =
+            self.options.pin_core_offset + self.chains.len() * (nodes.len() + 1);
+        let mut chain = ElasticPipeline::with_nodes(
+            nodes,
+            self.factory.clone(),
+            self.predicate.clone(),
+            self.policy.clone(),
+            chain_options,
+            Arc::clone(&self.clock),
+        );
+        if let Some(stall) = self.migration_stall {
+            chain.set_migration_stall(stall);
+        }
+        chain
     }
 
     /// Current shard count.
@@ -188,9 +211,10 @@ where
         &self.reshard_log
     }
 
-    /// Real-time pacing before injecting an event scheduled at `at`; a
-    /// plain cancellable wait (the mesh driver has no flush-slicing or
-    /// controller).  Returns `true` if the wait was cancelled.
+    /// Real-time pacing before routing an event scheduled at `at`; a
+    /// plain cancellable wait against the mesh's stream clock, so each
+    /// chain's departure wait for the event has already passed.  Returns
+    /// `true` if the wait was cancelled.
     fn pace(&self, at: Timestamp, cancel: &CancelToken) -> bool {
         let target = self
             .options
@@ -198,7 +222,7 @@ where
         if target.is_zero() {
             return cancel.is_cancelled();
         }
-        let deadline = self.started + target;
+        let deadline = self.clock.start() + target;
         if Instant::now() < deadline {
             return cancel.wait_until(deadline);
         }
@@ -230,23 +254,10 @@ where
             // The child starts at the SAME width as its parent: node `k`'s
             // moving rows re-enter at position `k`, preserving positional
             // invariants; the per-chain rebalance below levels both chains
-            // afterwards.
-            let mut child = ElasticPipeline::new(
-                width,
-                self.factory.clone(),
-                self.predicate.clone(),
-                self.policy.clone(),
-                {
-                    // New shards keep staggering past the existing chains.
-                    let mut child_options = self.options.clone();
-                    child_options.pin_core_offset =
-                        self.options.pin_core_offset + self.chains.len() * (width + 1);
-                    child_options
-                },
-            );
-            if let Some(stall) = self.migration_stall {
-                child.set_migration_stall(stall);
-            }
+            // afterwards.  It runs on the mesh's clock, so its results are
+            // stamped in the same stream time as its parent's.
+            let nodes = (0..width).map(|k| (self.factory)(k, width)).collect();
+            let mut child = self.deploy_chain(nodes);
             let segments = self.chains[p].export_all_segments();
             for (k, segment) in segments.into_iter().enumerate() {
                 let (keep, moving) = self.router.split_segment(p, segment);
@@ -455,13 +466,14 @@ where
                 let shards = self.chains.len() as u32;
                 let mut all_landed = true;
                 for (shard, chain) in self.chains.iter_mut().enumerate() {
-                    let ckpt = chain.capture_checkpoint(epoch, shards, consumed as u64);
-                    if checkpointers[shard]
-                        .append(cfg.store.as_ref(), ckpt)
-                        .is_err()
-                    {
-                        all_landed = false;
-                    }
+                    let landed = chain
+                        .capture_checkpoint(epoch, shards, consumed as u64)
+                        .is_some_and(|ckpt| {
+                            checkpointers[shard]
+                                .append(cfg.store.as_ref(), ckpt)
+                                .is_ok()
+                        });
+                    all_landed &= landed;
                 }
                 if all_landed {
                     log.trim_to(consumed);
@@ -657,6 +669,89 @@ mod tests {
             pacing: Pacing::RealTime { speedup: 1.0 },
             ..Default::default()
         }
+    }
+
+    /// The mesh and all its chains share one stream clock, started once
+    /// every initial node exists: however long the factory takes, that
+    /// time is not charged to a result found on the first chain built.
+    #[test]
+    fn slow_node_construction_is_not_charged_to_mesh_latency() {
+        use llhj_core::driver::StreamEvent;
+        use llhj_core::shard::{Route, ShardRouter};
+        use llhj_core::tuple::StreamTuple;
+        let build = llhj_indexed_factory(equi());
+        let slow: NodeFactory<u32, u32> = Arc::new(move |id, nodes| {
+            llhj_sync::thread::sleep(Duration::from_millis(50));
+            build(id, nodes)
+        });
+        // A join key the co-partitioning router sends to chain 0.
+        let mut router = ShardRouter::new(equi(), RouteMode::CoPartition, 2);
+        let key = (0u32..)
+            .find(|&v| {
+                let r = StreamTuple::new(SeqNo(0), Timestamp::ZERO, v);
+                router.route(&StreamEvent::ArrivalR(r)) == Route::One(0)
+            })
+            .expect("some key routes to chain 0");
+        let sched = DriverSchedule::build(
+            vec![(Timestamp::from_millis(1), key)],
+            vec![(Timestamp::from_millis(1), key)],
+            WindowSpec::time_secs(1),
+            WindowSpec::time_secs(1),
+        );
+        let outcome = run_mesh_pipeline(
+            2,
+            1,
+            slow,
+            equi(),
+            RoundRobin,
+            RouteMode::CoPartition,
+            &sched,
+            &MeshPlan::none(),
+            &PipelineOptions {
+                batch_size: 1,
+                ..opts()
+            },
+        );
+        assert_eq!(outcome.result_keys(), vec![(SeqNo(0), SeqNo(0))]);
+        let latency = outcome.results[0].latency();
+        assert!(
+            latency < TimeDelta::from_millis(25),
+            "the pair waited {latency}: building the mesh's nodes was \
+             charged to it"
+        );
+    }
+
+    /// A chain split off mid-run stamps its results in the mesh's stream
+    /// time, not in a clock of its own started at the split: no result on
+    /// the child is detected before its later input was due (checked on
+    /// the raw timestamps, which `latency()` would clamp).
+    #[test]
+    fn split_child_stamps_results_on_the_mesh_clock() {
+        let sched = schedule(400, 150);
+        let events = sched.events().len();
+        let mut mesh = MeshPipeline::new(
+            1,
+            2,
+            llhj_indexed_factory(equi()),
+            equi(),
+            RoundRobin,
+            RouteMode::CoPartition,
+            opts(),
+        );
+        mesh.run_schedule(&sched, &MeshPlan::from_steps(&[(events / 3, 2, 2)]));
+        assert_eq!(mesh.shards(), 2);
+        let child = mesh.chains.pop().expect("the split child").finish();
+        assert!(!child.results.is_empty(), "the child chain found pairs");
+        for result in &child.results {
+            assert!(
+                result.detected_at >= result.result.ts(),
+                "child result detected at {:?}, before its later input was \
+                 due at {:?}",
+                result.detected_at,
+                result.result.ts()
+            );
+        }
+        mesh.finish();
     }
 
     #[test]

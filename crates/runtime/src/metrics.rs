@@ -6,8 +6,8 @@
 //! is therefore a bundle of atomics that producers update with relaxed
 //! stores and the sampler reads at its own pace:
 //!
-//! * **arrival counter** — bumped by the driver once per injected tuple;
-//!   the sampler differentiates it against the stream clock to get the
+//! * **arrival counter** — bumped by the driver as each entry frame
+//!   departs, by the frame's tuple count; the sampler differentiates it against the stream clock to get the
 //!   observed arrival rate.
 //! * **result-latency EWMA** — the collector folds every result's latency
 //!   into an exponentially weighted moving average
@@ -91,10 +91,12 @@ impl MetricsBus {
         Self::default()
     }
 
-    /// Records one injected tuple arrival (driver hot path: one relaxed
-    /// `fetch_add`).
-    pub fn note_arrival(&self) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
+    /// Records `n` tuple arrivals as their entry frame departs (driver hot
+    /// path: one relaxed `fetch_add` per frame).  Counting at departure,
+    /// not when the driver queues a tuple, keeps the observed rate from
+    /// running up to a frame ahead of stream time.
+    pub fn note_arrivals(&self, n: u64) {
+        self.arrivals.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Total tuple arrivals injected so far (both streams).
@@ -263,8 +265,7 @@ mod tests {
     #[test]
     fn arrival_counter_counts() {
         let bus = MetricsBus::new();
-        bus.note_arrival();
-        bus.note_arrival();
+        bus.note_arrivals(2);
         assert_eq!(bus.arrivals(), 2);
         bus.set_nodes(3);
         assert_eq!(bus.nodes(), 3);

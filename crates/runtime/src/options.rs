@@ -53,21 +53,26 @@ pub enum Transport {
 ///   of the paper's low-latency configuration exactly (every message is its
 ///   own frame); larger values amortise channel and wake-up overhead over
 ///   the whole frame at the price of up to `batch_size / rate` of added
-///   latency, which is the trade-off Figure 20 of the paper varies.
+///   latency, which is the trade-off Figure 20 of the paper varies.  A
+///   paced driver sleeps once per frame: a full frame departs when its
+///   latest tuple is due, never earlier.
 /// * [`flush_interval`](Self::flush_interval) — optional stream-time bound
 ///   on how long a partial entry batch may wait for more tuples.  `None`
 ///   (the default) keeps the seed semantics: partial batches flush only
 ///   when the stream ends.  `Some(d)` caps the batching delay at `d`, so a
 ///   trickling stream still achieves low latency under a large
-///   `batch_size`.
+///   `batch_size`: a partial frame departs `d` after its first message was
+///   due, even across an arrival gap.
 #[derive(Debug, Clone)]
 pub struct PipelineOptions {
     /// Pacing mode.
     pub pacing: Pacing,
-    /// Driver batch size in tuples (64 in the paper's setup).
+    /// Driver batch size in tuples (64 in the paper's setup).  A full
+    /// frame departs at the due time of its latest tuple.
     pub batch_size: usize,
     /// Maximum stream time a partial entry batch may wait before it is
-    /// flushed regardless of its size.  `None` disables the timer.
+    /// flushed regardless of its size: it departs this long after it
+    /// started filling.  `None` disables the age flush.
     pub flush_interval: Option<TimeDelta>,
     /// Capacity of the bounded FIFO channels between neighbouring workers,
     /// in frames.
@@ -82,8 +87,9 @@ pub struct PipelineOptions {
     /// real-time pacing waits park on the token instead of sleeping, so an
     /// external [`CancelToken::cancel`](crate::channel::CancelToken::cancel)
     /// interrupts even a long gap between schedule events: the run stops
-    /// injecting, drains the pipeline and returns the partial outcome with
-    /// [`RunOutcome::cancelled`](crate::RunOutcome) set.
+    /// injecting (queued frames whose departure it has not reached are
+    /// dropped unsent), drains the pipeline and returns the partial
+    /// outcome with [`RunOutcome::cancelled`](crate::RunOutcome) set.
     pub cancel: Option<crate::channel::CancelToken>,
     /// Which transport carries the chain's SPSC data edges.
     pub transport: Transport,

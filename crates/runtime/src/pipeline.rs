@@ -20,10 +20,10 @@
 //! A fixed chain *is* an elastic chain with no scale plan:
 //! [`run_pipeline`] deploys the given nodes as an [`ElasticPipeline`],
 //! replays the schedule with [`ScalePlan::none`] and maps the outcome
-//! into a [`RunOutcome`].  There is one driver (its sliced pacing wait also
-//! bounds a partial entry frame's wait across a silent stream), one
-//! worker loop and one collector in the runtime, so a fix to any of them
-//! reaches both entry points at once.
+//! into a [`RunOutcome`].  There is one driver (it holds each entry frame
+//! until its departure, which also bounds a partial frame's wait across a
+//! silent stream), one worker loop and one collector in the runtime, so a
+//! fix to any of them reaches both entry points at once.
 //!
 //! The workers execute exactly the same node state machines as the
 //! discrete-event simulator, so the produced result *set* is identical; the
@@ -32,6 +32,7 @@
 //! machine.
 
 use crate::elastic::{ElasticPipeline, NodeFactory, ScalePlan};
+use crate::exec::StreamClock;
 use crate::options::PipelineOptions;
 use llhj_core::driver::DriverSchedule;
 use llhj_core::homing::HomePolicy;
@@ -62,7 +63,8 @@ pub struct RunOutcome<R, S> {
     /// Number of punctuations emitted.
     pub punctuation_count: u64,
     /// Number of R/S arrivals actually injected: the schedule's counts,
-    /// unless the run was cancelled mid-replay (then the injected prefix).
+    /// unless the run was cancelled mid-replay (then the arrivals whose
+    /// entry frames departed before the cancel).
     pub arrivals_per_stream: (usize, usize),
     /// Number of frames the driver injected into the pipeline ends.
     pub frames_injected: u64,
@@ -77,8 +79,9 @@ pub struct RunOutcome<R, S> {
     pub idle_wakeups: u64,
     /// True if the run was interrupted by [`PipelineOptions::cancel`]
     /// before the whole schedule was replayed.  The results cover exactly
-    /// the injected prefix of the schedule (the pipeline is drained before
-    /// returning, so nothing in flight is lost).
+    /// the arrivals whose entry frames departed before the cancel (the
+    /// pipeline is drained before returning, so nothing in flight is
+    /// lost).
     pub cancelled: bool,
 }
 
@@ -126,8 +129,15 @@ where
 {
     let never_grows: NodeFactory<R, S> =
         Arc::new(|_, _| unreachable!("an empty scale plan never grows the chain"));
-    let mut pipeline =
-        ElasticPipeline::with_nodes(nodes, never_grows, predicate, policy, options.clone());
+    let clock = Arc::new(StreamClock::new(options.pacing));
+    let mut pipeline = ElasticPipeline::with_nodes(
+        nodes,
+        never_grows,
+        predicate,
+        policy,
+        options.clone(),
+        clock,
+    );
     pipeline.run_schedule(schedule, &ScalePlan::none());
     let outcome = pipeline.finish();
     RunOutcome {
@@ -244,15 +254,14 @@ mod tests {
     }
 
     /// A stream that goes silent mid-run must not hold a partial entry
-    /// frame until the driver happens to observe the next schedule event:
-    /// the driver's pacing wait is sliced at half the flush interval and
-    /// flushes aged frames on every slice.
+    /// frame until the stream resumes: the driver queues the post-gap
+    /// events at once, which ages the pre-gap frame out, and the frame
+    /// departs at its age deadline, one flush interval after it started.
     #[test]
     fn flush_timer_bounds_latency_across_a_silent_gap() {
         let pred = FnPredicate(|r: &u32, s: &u32| r == s);
         // One matching pair right at the start, then ~700 ms of silence
-        // before the streams resume.  The driver waits out the gap, so
-        // only its sliced wait can release the first frame.
+        // before the streams resume.
         let mk = |v: u32| {
             vec![
                 (Timestamp::from_millis(1), v),
